@@ -323,33 +323,11 @@ impl Tuner for StreamTune<'_> {
                 }
             }
 
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                eprintln!(
-                    "  iter {iterations}: deploy {:?} lb {:?} ub {:?} cert {:?}",
-                    assignment.as_slice(),
-                    lower,
-                    upper,
-                    certified
-                );
-            }
             // Line 10: redeploy and monitor.
             let obs = session.deploy(&assignment)?;
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                eprintln!("    -> bp={}", obs.job_backpressure);
-            }
             last_backpressure = obs.job_backpressure;
             // Line 11: ΔT feedback.
             let labels = bottleneck_labels(flow, &obs, &self.config.label);
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                let cpu: Vec<f64> = obs
-                    .per_op
-                    .iter()
-                    .map(|o| (o.cpu_load * 100.0).round() / 100.0)
-                    .collect();
-                let bp: Vec<bool> = obs.per_op.iter().map(|o| o.flink_backpressured).collect();
-                let sat: Vec<bool> = obs.per_op.iter().map(|o| o.saturated).collect();
-                eprintln!("    labels {labels:?} cpu {cpu:?} opbp {bp:?} sat {sat:?}");
-            }
             probe = vec![0u32; n_ops];
             for (i, &l) in labels.iter().enumerate() {
                 if l < 0.0 {

@@ -12,9 +12,22 @@
 //!   after a constrained split at midpoint `m`, the low-parallelism side
 //!   may only produce values in `[m, hi]` and the high-parallelism side in
 //!   `[lo, m]`, so the order holds across the whole ensemble.
+//!
+//! Split search is XGBoost's exact greedy algorithm over presorted
+//! columns (Chen & Guestrin, KDD'16). Each fit sorts the point indices
+//! once per feature, stably by value, so ties fall in point-index order;
+//! values are read from the training points in place, with no per-row
+//! input copy. Every tree node owns one contiguous range of that order
+//! per feature, plus a range of its point indices in ascending order; a
+//! chosen split stably partitions the node's ranges into its children's. The result is bit-identical to sorting each
+//! node's points per feature: a stable sort by value then index,
+//! filtered to a node's points, *is* that node's stable sort, so the scan
+//! visits the same candidates in the same order with the same running
+//! sums, and the gradient sums still run in ascending index order.
 
 use crate::{BottleneckClassifier, TrainPoint};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// GBDT hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,49 +113,175 @@ pub struct MonotonicGbdt {
     fitted: bool,
 }
 
-struct TreeBuilder<'a> {
-    xs: &'a [Vec<f64>],
+/// Per-fit split-search workspace. Each column is sorted once per fit;
+/// every node owns one contiguous range, at the same offsets, in `rows`
+/// and in each feature's slice of `order`.
+struct Presorted<'d> {
+    data: &'d [TrainPoint],
+    n: usize,
+    dim: usize,
+    /// Per feature, the point indices stably sorted by value (ties by index).
+    sorted: Vec<u32>,
+    /// Working copy of `sorted`, reset per tree and stably partitioned per
+    /// split, so a node's range is its points in (value, index) order.
+    order: Vec<u32>,
+    /// Point indices, ascending within each node's range.
+    rows: Vec<u32>,
+    /// Spill buffer of the stable partition.
+    scratch: Vec<u32>,
+}
+
+impl<'d> Presorted<'d> {
+    fn new(data: &'d [TrainPoint]) -> Self {
+        let n = data.len();
+        let n32 = u32::try_from(n).expect("dataset fits u32 point indices");
+        let dim = data[0].embedding.len() + 1;
+        assert!(
+            data.iter().all(|p| p.embedding.len() == dim - 1),
+            "every point needs an embedding of the same length"
+        );
+        let mut sorted = Vec::with_capacity(n * dim);
+        for f in 0..dim {
+            let start = sorted.len();
+            sorted.extend(0..n32);
+            sorted[start..].sort_by(|&a, &b| {
+                data[a as usize]
+                    .feature(f)
+                    .partial_cmp(&data[b as usize].feature(f))
+                    .expect("feature values are not NaN")
+            });
+        }
+        Presorted {
+            data,
+            n,
+            dim,
+            order: sorted.clone(),
+            sorted,
+            rows: (0..n32).collect(),
+            scratch: vec![0; n],
+        }
+    }
+
+    /// Restore the root layout: every point in one range.
+    fn reset(&mut self) {
+        self.order.copy_from_slice(&self.sorted);
+        for (k, r) in self.rows.iter_mut().enumerate() {
+            *r = k as u32;
+        }
+    }
+
+    /// Stably partition the node's `range` of `rows` by
+    /// `feature ≤ threshold` (the test `Tree::predict` applies); returns
+    /// the left count.
+    fn partition_rows(&mut self, range: Range<usize>, feature: usize, threshold: f64) -> usize {
+        let data = self.data;
+        stable_partition(&mut self.rows[range], &mut self.scratch, |i| {
+            data[i as usize].feature(feature) <= threshold
+        })
+    }
+
+    /// The same partition of the node's range in every feature's order.
+    fn partition_orders(&mut self, range: Range<usize>, feature: usize, threshold: f64) {
+        let data = self.data;
+        for order in self.order.chunks_exact_mut(self.n) {
+            stable_partition(&mut order[range.clone()], &mut self.scratch, |i| {
+                data[i as usize].feature(feature) <= threshold
+            });
+        }
+    }
+}
+
+/// Stable in-place partition of `arr`: points going left keep their order
+/// at the front, the rest keep theirs behind. Returns the left count.
+fn stable_partition(
+    arr: &mut [u32],
+    scratch: &mut [u32],
+    goes_left: impl Fn(u32) -> bool,
+) -> usize {
+    let (mut l, mut r) = (0, 0);
+    for k in 0..arr.len() {
+        let i = arr[k];
+        if goes_left(i) {
+            arr[l] = i;
+            l += 1;
+        } else {
+            scratch[r] = i;
+            r += 1;
+        }
+    }
+    arr[l..].copy_from_slice(&scratch[..r]);
+    l
+}
+
+struct TreeBuilder<'a, 'd> {
+    presorted: &'a mut Presorted<'d>,
     grads: &'a [f64],
     hess: &'a [f64],
+    /// Training scores, advanced by each leaf's value as the leaf is made.
+    scores: &'a mut [f64],
     cfg: &'a GbdtConfig,
     constrained: usize,
     nodes: Vec<Node>,
 }
 
-impl TreeBuilder<'_> {
+impl TreeBuilder<'_, '_> {
     fn leaf_value(&self, g: f64, h: f64, lo: f64, hi: f64) -> f64 {
         (-g / (h + self.cfg.lambda)).clamp(lo, hi)
     }
 
-    fn build(&mut self, indices: &[usize], depth: usize, lo: f64, hi: f64) -> usize {
-        let g: f64 = indices.iter().map(|&i| self.grads[i]).sum();
-        let h: f64 = indices.iter().map(|&i| self.hess[i]).sum();
-        let make_leaf = |s: &Self| Node::Leaf(s.leaf_value(g, h, lo, hi) * s.cfg.lr);
+    fn is_leaf(&self, depth: usize, len: usize) -> bool {
+        depth >= self.cfg.max_depth || len < 2 * self.cfg.min_samples_leaf
+    }
 
-        if depth >= self.cfg.max_depth || indices.len() < 2 * self.cfg.min_samples_leaf {
-            self.nodes.push(make_leaf(self));
-            return self.nodes.len() - 1;
+    /// Gradient and hessian sums over `rows[range]`, in ascending index order.
+    fn sums(&self, range: Range<usize>) -> (f64, f64) {
+        let rows = &self.presorted.rows[range];
+        let g = rows.iter().map(|&i| self.grads[i as usize]).sum();
+        let h = rows.iter().map(|&i| self.hess[i as usize]).sum();
+        (g, h)
+    }
+
+    fn make_leaf(
+        &mut self,
+        range: Range<usize>,
+        (g, h): (f64, f64),
+        (lo, hi): (f64, f64),
+    ) -> usize {
+        let value = self.leaf_value(g, h, lo, hi) * self.cfg.lr;
+        for &i in &self.presorted.rows[range] {
+            self.scores[i as usize] += value;
         }
+        self.nodes.push(Node::Leaf(value));
+        self.nodes.len() - 1
+    }
 
-        // Greedy exact split search.
+    /// Greedy exact split search over the node's presorted ranges:
+    /// `(gain, feature, threshold)` of the best admissible split.
+    fn best_split(
+        &self,
+        range: Range<usize>,
+        (g, h): (f64, f64),
+        (lo, hi): (f64, f64),
+    ) -> Option<(f64, usize, f64)> {
         let parent_score = g * g / (h + self.cfg.lambda);
-        let dim = self.xs[0].len();
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        for f in 0..dim {
-            let mut sorted: Vec<usize> = indices.to_vec();
-            sorted.sort_by(|&a, &b| self.xs[a][f].partial_cmp(&self.xs[b][f]).unwrap());
+        let n = self.presorted.n;
+        let mut best: Option<(f64, usize, f64)> = None;
+        for f in 0..self.presorted.dim {
+            let node_order = &self.presorted.order[f * n + range.start..f * n + range.end];
+            let value = |k: usize| self.presorted.data[node_order[k] as usize].feature(f);
             let mut gl = 0.0;
             let mut hl = 0.0;
-            for k in 0..sorted.len() - 1 {
-                gl += self.grads[sorted[k]];
-                hl += self.hess[sorted[k]];
-                let xv = self.xs[sorted[k]][f];
-                let xn = self.xs[sorted[k + 1]][f];
+            let mut xn = value(0);
+            for k in 0..node_order.len() - 1 {
+                gl += self.grads[node_order[k] as usize];
+                hl += self.hess[node_order[k] as usize];
+                let xv = xn;
+                xn = value(k + 1);
                 if xv == xn {
                     continue; // cannot split between equal values
                 }
                 let nl = k + 1;
-                let nr = sorted.len() - nl;
+                let nr = node_order.len() - nl;
                 if nl < self.cfg.min_samples_leaf || nr < self.cfg.min_samples_leaf {
                     continue;
                 }
@@ -167,35 +306,54 @@ impl TreeBuilder<'_> {
                 }
             }
         }
+        best
+    }
 
-        let Some((_, feature, threshold)) = best else {
-            self.nodes.push(make_leaf(self));
-            return self.nodes.len() - 1;
+    /// Grow the subtree over `rows[range]`, whose gradient and hessian sums
+    /// are `sums`, with leaf values clamped to `bounds`.
+    fn build(
+        &mut self,
+        range: Range<usize>,
+        depth: usize,
+        bounds: (f64, f64),
+        sums: (f64, f64),
+    ) -> usize {
+        if self.is_leaf(depth, range.len()) {
+            return self.make_leaf(range, sums, bounds);
+        }
+        let Some((_, feature, threshold)) = self.best_split(range.clone(), sums, bounds) else {
+            return self.make_leaf(range, sums, bounds);
         };
 
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-            .iter()
-            .partition(|&&i| self.xs[i][feature] <= threshold);
+        let nl = self
+            .presorted
+            .partition_rows(range.clone(), feature, threshold);
+        let mid = range.start + nl;
+        // Children that are leaves never scan, so their order ranges are
+        // never read: skip the per-feature partitions.
+        if !(self.is_leaf(depth + 1, nl) && self.is_leaf(depth + 1, range.len() - nl)) {
+            self.presorted
+                .partition_orders(range.clone(), feature, threshold);
+        }
+        let left_sums = self.sums(range.start..mid);
+        let right_sums = self.sums(mid..range.end);
 
         // Child value intervals: clamp around the midpoint for constrained
         // splits, inherit otherwise.
-        let (l_lo, l_hi, r_lo, r_hi) = if feature == self.constrained {
-            let gl: f64 = left_idx.iter().map(|&i| self.grads[i]).sum();
-            let hl: f64 = left_idx.iter().map(|&i| self.hess[i]).sum();
-            let gr: f64 = right_idx.iter().map(|&i| self.grads[i]).sum();
-            let hr: f64 = right_idx.iter().map(|&i| self.hess[i]).sum();
-            let wl = self.leaf_value(gl, hl, lo, hi);
-            let wr = self.leaf_value(gr, hr, lo, hi);
-            let mid = (wl + wr) / 2.0;
-            (mid, hi, lo, mid)
+        let (lo, hi) = bounds;
+        let (left_bounds, right_bounds) = if feature == self.constrained {
+            let wl = self.leaf_value(left_sums.0, left_sums.1, lo, hi);
+            let wr = self.leaf_value(right_sums.0, right_sums.1, lo, hi);
+            let m = (wl + wr) / 2.0;
+            ((m, hi), (lo, m))
         } else {
-            (lo, hi, lo, hi)
+            (bounds, bounds)
         };
 
         let placeholder = self.nodes.len();
         self.nodes.push(Node::Leaf(0.0)); // replaced below
-        let left = self.build(&left_idx, depth + 1, l_lo, l_hi);
-        let right = self.build(&right_idx, depth + 1, r_lo, r_hi);
+        let left = self.build(range.start..mid, depth + 1, left_bounds, left_sums);
+        let right = self.build(mid..range.end, depth + 1, right_bounds, right_sums);
         self.nodes[placeholder] = Node::Split {
             feature,
             threshold,
@@ -235,50 +393,49 @@ fn sigmoid(z: f64) -> f64 {
 impl BottleneckClassifier for MonotonicGbdt {
     fn fit(&mut self, data: &[TrainPoint]) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        let xs: Vec<Vec<f64>> = data.iter().map(TrainPoint::input).collect();
+        let mut presorted = Presorted::new(data);
+        let n = data.len();
         let ys: Vec<f64> = data
             .iter()
             .map(|p| if p.bottleneck { 1.0 } else { 0.0 })
             .collect();
-        self.constrained = xs[0].len() - 1;
+        self.constrained = presorted.dim - 1;
         let pos = ys.iter().sum::<f64>() / ys.len() as f64;
         let p0 = pos.clamp(0.01, 0.99);
         self.base_score = (p0 / (1.0 - p0)).ln();
         self.trees.clear();
 
-        let mut scores = vec![self.base_score; xs.len()];
-        let all: Vec<usize> = (0..xs.len()).collect();
+        let mut scores = vec![self.base_score; n];
+        let mut grads = vec![0.0; n];
+        let mut hess = vec![0.0; n];
         // Class balancing (XGBoost's scale_pos_weight): bottleneck labels
         // are the rare minority; without it the ensemble ignores them.
         let pos_count = ys.iter().filter(|&&y| y > 0.5).count().max(1) as f64;
         let spw = ((ys.len() as f64 - pos_count) / pos_count)
             .clamp(1.0, self.config.scale_pos_weight_cap.max(1.0));
         for _ in 0..self.config.rounds {
-            let mut grads = Vec::with_capacity(xs.len());
-            let mut hess = Vec::with_capacity(xs.len());
-            for i in 0..xs.len() {
+            for i in 0..n {
                 let p = sigmoid(scores[i]);
                 let w = if ys[i] > 0.5 { spw } else { 1.0 };
-                grads.push(w * (p - ys[i]));
-                hess.push((w * p * (1.0 - p)).max(1e-9));
+                grads[i] = w * (p - ys[i]);
+                hess[i] = (w * p * (1.0 - p)).max(1e-9);
             }
+            presorted.reset();
             let mut builder = TreeBuilder {
-                xs: &xs,
+                presorted: &mut presorted,
                 grads: &grads,
                 hess: &hess,
+                scores: &mut scores,
                 cfg: &self.config,
                 constrained: self.constrained,
                 nodes: Vec::new(),
             };
-            let root = builder.build(&all, 0, f64::NEG_INFINITY, f64::INFINITY);
+            let sums = builder.sums(0..n);
+            let root = builder.build(0..n, 0, (f64::NEG_INFINITY, f64::INFINITY), sums);
             debug_assert_eq!(root, 0);
-            let tree = Tree {
+            self.trees.push(Tree {
                 nodes: builder.nodes,
-            };
-            for i in 0..xs.len() {
-                scores[i] += tree.predict(&xs[i]);
-            }
-            self.trees.push(tree);
+            });
         }
         self.fitted = true;
     }

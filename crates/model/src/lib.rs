@@ -47,18 +47,28 @@ pub struct TrainPoint {
 }
 
 impl TrainPoint {
-    /// Build the model input `[h…, p / PARALLELISM_NORM]`.
-    pub fn input(&self) -> Vec<f64> {
-        assemble_input(&self.embedding, self.parallelism)
+    /// Feature `f` of the model input `[h…, p / PARALLELISM_NORM]`,
+    /// without building the input vector.
+    pub(crate) fn feature(&self, f: usize) -> f64 {
+        match self.embedding.get(f) {
+            Some(&v) => v,
+            None => parallelism_feature(self.parallelism),
+        }
     }
 }
 
-/// Build the model input vector from an embedding and a parallelism.
+/// Build the model input `[h…, p / PARALLELISM_NORM]` from an embedding
+/// and a parallelism.
 pub fn assemble_input(embedding: &[f64], parallelism: u32) -> Vec<f64> {
     let mut v = Vec::with_capacity(embedding.len() + 1);
     v.extend_from_slice(embedding);
-    v.push(f64::from(parallelism) / PARALLELISM_NORM);
+    v.push(parallelism_feature(parallelism));
     v
+}
+
+/// The last model input: the parallelism, normalized.
+fn parallelism_feature(parallelism: u32) -> f64 {
+    f64::from(parallelism) / PARALLELISM_NORM
 }
 
 /// A bottleneck classifier over `(embedding, parallelism)` inputs.

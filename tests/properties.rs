@@ -1,10 +1,15 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, RngExt, SeedableRng};
 use streamtune::dataflow::{
     DataflowBuilder, GraphSignature, Operator, OperatorKind, ParallelismAssignment,
 };
 use streamtune::ged::{ged_lsa, ged_with, Bound, GraphView};
+use streamtune::model::{
+    recommend_min_parallelism_at, verify_monotonic, BottleneckClassifier, GbdtConfig,
+    MonotonicGbdt, TrainPoint,
+};
 use streamtune::sim::{PerfProfile, SimCluster};
 
 /// A random small operator (kind index 0..9 mapped through helpers).
@@ -42,6 +47,36 @@ fn chain_flow(name: &str, rate: f64, spec: &[(usize, f64)]) -> streamtune::dataf
         prev = Some(id);
     }
     b.build().expect("chain is always valid")
+}
+
+/// A seeded `M_f` training set: `n` points with `dim - 1` embedding
+/// features quantized to `levels` values (ties), parallelism in 1..=60
+/// (ties), noisy threshold labels, and the first `replicated` points
+/// pushed 10 times each, as the tuner replicates feedback.
+fn gbdt_dataset(
+    seed: u64,
+    n: usize,
+    dim: usize,
+    levels: u64,
+    replicated: usize,
+) -> Vec<TrainPoint> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut data = Vec::new();
+    for k in 0..n {
+        let embedding: Vec<f64> = (0..dim - 1)
+            .map(|_| (rng.next_u64() % levels) as f64 / levels as f64)
+            .collect();
+        let parallelism = 1 + (rng.next_u64() % 60) as u32;
+        let threshold = 4.0 + 50.0 * embedding.first().copied().unwrap_or(0.5);
+        let point = TrainPoint {
+            embedding,
+            parallelism,
+            bottleneck: (f64::from(parallelism) < threshold) ^ (rng.random() < 0.1),
+        };
+        let copies = if k < replicated { 10 } else { 1 };
+        data.extend(std::iter::repeat_n(point, copies));
+    }
+    data
 }
 
 proptest! {
@@ -177,6 +212,49 @@ proptest! {
         let mut sorted = ms.clone();
         sorted.sort();
         prop_assert_eq!(ms, sorted);
+    }
+
+    /// The fitted GBDT is non-increasing in parallelism at training and
+    /// unseen embeddings, on data with ties and replicated rows.
+    #[test]
+    fn gbdt_monotone_in_parallelism(
+        seed in 0u64..1_000_000,
+        n in 2usize..90,
+        dim in 1usize..19,
+        levels in 1u64..6,
+        replicated in 0usize..8,
+    ) {
+        let data = gbdt_dataset(seed, n, dim, levels, replicated);
+        let mut m = MonotonicGbdt::new(GbdtConfig::default());
+        m.fit(&data);
+        let mut probes: Vec<Vec<f64>> = data.iter().map(|p| p.embedding.clone()).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        probes.extend((0..4).map(|_| (0..dim - 1).map(|_| rng.random_range(-0.2..1.2)).collect()));
+        prop_assert!(verify_monotonic(&m, &probes, 100), "fit is not monotone in p");
+    }
+
+    /// The binary search for the minimal parallelism equals a linear scan
+    /// over `1..=p_max` at several thresholds.
+    #[test]
+    fn min_parallelism_search_matches_linear_scan(
+        seed in 0u64..1_000_000,
+        n in 2usize..90,
+        dim in 1usize..19,
+        levels in 1u64..6,
+        replicated in 0usize..8,
+        p_max in 1u32..120,
+    ) {
+        let data = gbdt_dataset(seed, n, dim, levels, replicated);
+        let mut m = MonotonicGbdt::new(GbdtConfig::default());
+        m.fit(&data);
+        for point in data.iter().take(6) {
+            let h = &point.embedding;
+            for threshold in [0.05, 0.25, 0.5, 0.75, 0.95] {
+                let linear = (1..=p_max).find(|&p| m.predict_proba(h, p) < threshold);
+                let binary = recommend_min_parallelism_at(&m, h, p_max, threshold);
+                prop_assert_eq!(binary, linear, "threshold {}", threshold);
+            }
+        }
     }
 }
 
