@@ -27,14 +27,17 @@ fn io_err(path: &str, e: std::io::Error) -> CliError {
 /// Send one protocol request to a serving daemon and parse the reply.
 fn send_request(addr: &str, request: &Request) -> Result<Response, CliError> {
     let stream = std::net::TcpStream::connect(addr).map_err(|e| io_err(addr, e))?;
+    stream.set_nodelay(true).map_err(|e| io_err(addr, e))?;
     let mut responses = BufReader::new(stream.try_clone().map_err(|e| io_err(addr, e))?);
     let mut requests_out = stream;
-    let line = serde_json::to_string(request).map_err(|e| CliError::Serde {
+    let mut line = serde_json::to_string(request).map_err(|e| CliError::Serde {
         context: "serialize request".to_string(),
         message: e.to_string(),
     })?;
-    writeln!(requests_out, "{line}").map_err(|e| io_err(addr, e))?;
-    requests_out.flush().map_err(|e| io_err(addr, e))?;
+    line.push('\n');
+    requests_out
+        .write_all(line.as_bytes())
+        .map_err(|e| io_err(addr, e))?;
     let mut response = String::new();
     let n = responses
         .read_line(&mut response)

@@ -33,7 +33,11 @@
 //!   `drain`/`trace`/`explain`/`metrics_history`/`shutdown`) on
 //!   stdin/stdout, or on a TCP listener with `--listen` — one session per
 //!   client, with `--monitor-interval` running the background drift
-//!   monitor between accepts. Overload knobs: `--session-cap` bounds
+//!   monitor between accepts. `--ledger-cap N` (default 256) bounds the
+//!   daemon's memory of past work: after every drain only the newest N
+//!   decision records are kept (what `explain` answers from), and a
+//!   snapshot keeps only the newest N finished jobs in `jobs.json`.
+//!   Overload knobs: `--session-cap` bounds
 //!   concurrent sessions and `--request-deadline` bounds the wait for the
 //!   daemon lock; excess load is shed with a structured `overloaded`
 //!   response carrying `--retry-after-ms`. On SIGTERM the daemon drains:
@@ -846,6 +850,9 @@ fn cmd_client(args: &Args) -> Result<(), CliError> {
         message: e.to_string(),
     };
     let stream = std::net::TcpStream::connect(&addr).map_err(|e| io_err(&addr, e))?;
+    // One write per request on a no-delay socket: the request never waits
+    // in Nagle's buffer for the daemon's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| io_err(&addr, e))?;
     let mut responses = BufReader::new(stream.try_clone().map_err(|e| io_err(&addr, e))?);
     let mut requests_out = stream;
     let requests: Box<dyn BufRead> = match args.optional("script") {
@@ -860,8 +867,9 @@ fn cmd_client(args: &Args) -> Result<(), CliError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        writeln!(requests_out, "{trimmed}").map_err(|e| io_err(&addr, e))?;
-        requests_out.flush().map_err(|e| io_err(&addr, e))?;
+        requests_out
+            .write_all(format!("{trimmed}\n").as_bytes())
+            .map_err(|e| io_err(&addr, e))?;
         let mut response = String::new();
         let n = responses
             .read_line(&mut response)

@@ -263,7 +263,7 @@ fn run_job_inner(
             Ok(replay) => Box::new(replay),
             Err(e) => return failed(e.to_string()),
         },
-        BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim_for(spec), *plan)),
+        BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim_for(spec), **plan)),
         // A cluster that cannot be reached right now is sick, not wrong:
         // degrade so a re-submit retries once it is back.
         BackendSpec::Flink(url) => match FlinkBackend::connect(url) {
@@ -621,13 +621,6 @@ impl JobManager {
     /// touched). Dropped names become reusable. Returns how many jobs were
     /// dropped.
     pub fn compact(&mut self, cap: usize) -> usize {
-        // The audit trail rotates with the ledger: keep the newest `cap`
-        // decision records.
-        if self.decisions.len() > cap {
-            let drop = self.decisions.len() - cap;
-            self.decisions.drain(..drop);
-            self.annotated = self.annotated.saturating_sub(drop);
-        }
         let terminal = self
             .jobs
             .iter()
@@ -653,6 +646,17 @@ impl JobManager {
             .map(|(i, j)| (j.spec.name.clone(), i))
             .collect();
         terminal - cap
+    }
+
+    /// Audit-trail rotation: keep the newest `cap` decision records. The
+    /// server calls this after every drain, so the trail stays bounded on
+    /// long-lived daemons whether or not they ever snapshot.
+    pub(crate) fn trim_decisions(&mut self, cap: usize) {
+        if self.decisions.len() > cap {
+            let drop = self.decisions.len() - cap;
+            self.decisions.drain(..drop);
+            self.annotated = self.annotated.saturating_sub(drop);
+        }
     }
 
     /// Cancel a still-queued job.
@@ -1066,6 +1070,24 @@ mod tests {
     }
 
     #[test]
+    fn admitted_jobs_stay_small() {
+        // The daemon keeps every admitted job, so per-job size is ledger
+        // footprint. A large inline field in a rare variant (a fault plan
+        // with its phase windows is ~280 B) would size every plain `sim`
+        // job for it: keep such payloads boxed.
+        assert!(
+            std::mem::size_of::<JobSpec>() <= 128,
+            "JobSpec is {} B",
+            std::mem::size_of::<JobSpec>()
+        );
+        assert!(
+            std::mem::size_of::<Job>() <= 320,
+            "Job is {} B",
+            std::mem::size_of::<Job>()
+        );
+    }
+
+    #[test]
     fn compact_drops_oldest_terminal_jobs_and_frees_names() {
         let mut mgr = JobManager::new(small_pretrained(11), Parallelism::Serial);
         for (i, q) in ["nexmark-q1", "nexmark-q2", "nexmark-q5"]
@@ -1142,7 +1164,7 @@ mod tests {
         // clean call, so the fault storm must be fully absorbed.
         let mut plan = FaultPlan::transient(23);
         plan.io_rate = 0.9;
-        chaos_spec.backend = BackendSpec::Chaos(plan);
+        chaos_spec.backend = BackendSpec::Chaos(Box::new(plan));
         chaotic.submit(chaos_spec).unwrap();
         chaotic.drain();
         let job = chaotic.job("j").unwrap();
@@ -1170,7 +1192,7 @@ mod tests {
         let mut plan = FaultPlan::quiet(1).with_max_burst(u32::MAX);
         plan.io_rate = 1.0;
         let mut sick = spec("sick", "nexmark-q1", 2);
-        sick.backend = BackendSpec::Chaos(plan);
+        sick.backend = BackendSpec::Chaos(Box::new(plan));
         mgr.submit(sick).unwrap();
         mgr.drain();
         let job = mgr.job("sick").unwrap();
@@ -1199,7 +1221,7 @@ mod tests {
         // Crash epoch 1 fires on the first deploy of the tuning session
         // (the session advances its epoch to 1 before deploying).
         let mut crasher = spec("crasher", "nexmark-q1", 2);
-        crasher.backend = BackendSpec::Chaos(FaultPlan::quiet(1).with_crash_at(1));
+        crasher.backend = BackendSpec::Chaos(Box::new(FaultPlan::quiet(1).with_crash_at(1)));
         mgr.submit(crasher).unwrap();
         mgr.submit(spec("bystander", "nexmark-q2", 3)).unwrap();
         mgr.drain();

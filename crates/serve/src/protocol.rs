@@ -1,9 +1,12 @@
 //! The line-delimited JSON control protocol.
 //!
 //! One request per line in, one response per line out — over stdin/stdout
-//! or a TCP connection, the framing is identical. Verbs are lowercase on
-//! the wire (the `Serialize`/`Deserialize` impls are written by hand so
-//! the protocol, not Rust naming, owns the encoding):
+//! or a TCP connection, the framing is identical. Each reply goes out as
+//! one `write_all` (line and newline together), on a `TCP_NODELAY` socket
+//! for TCP sessions, so no part of it waits on the client's delayed ACK.
+//! Verbs are lowercase on the wire (the `Serialize`/`Deserialize` impls
+//! are written by hand so the protocol, not Rust naming, owns the
+//! encoding):
 //!
 //! | request | wire form |
 //! |---|---|
@@ -59,10 +62,9 @@ use crate::store::StoreStats;
 
 /// Which execution backend a job tunes against.
 //
-// `Chaos` carries a full `FaultPlan` (phase windows included) inline: one
-// spec exists per admitted job, so the variant size gap is irrelevant and
-// boxing would only complicate the hand-written serde impls.
-#[allow(clippy::large_enum_variant)]
+// `Chaos` boxes its `FaultPlan`: the plan carries its phase windows
+// inline, and every admitted job keeps a spec, so an inline plan would
+// size every `sim` job's spec for the rare chaos one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendSpec {
     /// The deterministic simulated cluster (seeded per job).
@@ -71,7 +73,7 @@ pub enum BackendSpec {
     Replay(String),
     /// The simulated cluster wrapped in deterministic fault injection —
     /// the same job, plus the failures of the carried [`FaultPlan`].
-    Chaos(FaultPlan),
+    Chaos(Box<FaultPlan>),
     /// A live Flink REST endpoint (`http://host:port`): the job tunes the
     /// cluster's RUNNING job through the connector.
     Flink(String),
@@ -108,7 +110,7 @@ impl Deserialize for BackendSpec {
         match (name, payload) {
             ("sim", None) => Ok(BackendSpec::Sim),
             ("replay", Some(p)) => Ok(BackendSpec::Replay(String::deserialize(p)?)),
-            ("chaos", Some(p)) => Ok(BackendSpec::Chaos(FaultPlan::deserialize(p)?)),
+            ("chaos", Some(p)) => Ok(BackendSpec::Chaos(Box::new(FaultPlan::deserialize(p)?))),
             ("flink", Some(p)) => Ok(BackendSpec::Flink(String::deserialize(p)?)),
             ("ingest", Some(p)) => Ok(BackendSpec::Ingest(String::deserialize(p)?)),
             _ => Err(Error::custom(format!(
@@ -147,10 +149,6 @@ fn need_payload<'a>(
 }
 
 /// One protocol request.
-//
-// `Submit` inherits `BackendSpec`'s inline `FaultPlan`; requests are
-// parsed one per protocol line, so the size gap does not matter.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Admit a new named job.
@@ -799,7 +797,7 @@ mod tests {
     #[test]
     fn requests_roundtrip_through_the_wire_format() {
         let chaos_spec = JobSpec {
-            backend: BackendSpec::Chaos(FaultPlan::transient(9).with_crash_at(4)),
+            backend: BackendSpec::Chaos(Box::new(FaultPlan::transient(9).with_crash_at(4))),
             ..spec()
         };
         let flink_spec = JobSpec {

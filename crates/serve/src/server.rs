@@ -60,7 +60,10 @@ pub struct ServerConfig {
     pub parallelism: Parallelism,
     /// Ledger rotation: at most this many terminal jobs are kept (oldest
     /// dropped first) when snapshotting, so `jobs.json` stays bounded on
-    /// long-lived daemons.
+    /// long-lived daemons. The same cap bounds the in-memory decision
+    /// audit trail after every drain (newest records kept), so
+    /// `decisions.json` and `explain` see the same trail with or without a
+    /// snapshot in between.
     pub ledger_cap: usize,
     /// Drift-monitor settings.
     pub monitor: MonitorConfig,
@@ -483,8 +486,9 @@ impl Server {
         &self.corpus
     }
 
-    /// Drain every queued job, then stamp the daemon cache's provenance
-    /// counters into the decisions that run produced. The annotation is
+    /// Drain every queued job, stamp the daemon cache's provenance
+    /// counters into the decisions that run produced, and trim the audit
+    /// trail to the newest `ledger_cap` records. The annotation is
     /// post-hoc by design: run workers share the corpus read-only and
     /// never see the server's [`GedCache`], so the counters describe the
     /// cache at decision-publication time — deterministic inputs only,
@@ -493,13 +497,15 @@ impl Server {
         self.manager.drain();
         self.manager
             .annotate_cache(self.cache.stats(), self.cache.len() as u64);
+        self.manager.trim_decisions(self.config.ledger_cap);
     }
 
     /// Persist model, GED cache, corpus, (rotated) job ledger and the
     /// decision audit trail.
     fn snapshot(&mut self) -> Result<String, ServeError> {
-        // Drain first so the ledger only holds terminal states; compact so
-        // it stays bounded on long-lived daemons.
+        // Drain first so the ledger only holds terminal states (the drain
+        // also trims the audit trail); compact so the ledger stays bounded
+        // on long-lived daemons.
         self.drain_jobs();
         self.manager.compact(self.config.ledger_cap);
         let store = self.store.as_ref().ok_or(ServeError::NoStore)?;
@@ -555,7 +561,7 @@ impl Server {
             Engine::Timely => SimCluster::timely_defaults(spec.seed),
         };
         let backend: Box<dyn ExecutionBackend + Send> = match &spec.backend {
-            BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim, *plan)),
+            BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim, **plan)),
             // A live job is re-connected fresh for the watch: monitor
             // polls must not share connection state with the tuning run.
             BackendSpec::Flink(url) => {
@@ -1021,9 +1027,7 @@ impl Server {
                     false,
                 ),
             };
-            writeln!(output, "{}", render_response(&response))
-                .map_err(|e| io_err("write response", e))?;
-            output.flush().map_err(|e| io_err("flush response", e))?;
+            write_reply(&mut output, &response).map_err(|e| io_err("write response", e))?;
             if stop {
                 return Ok(true);
             }
@@ -1114,8 +1118,7 @@ impl Server {
                                 retry_after_ms: config.retry_after_ms,
                                 reason: "session-cap".to_string(),
                             };
-                            let _ = writeln!(stream, "{}", render_response(&response));
-                            let _ = stream.flush();
+                            let _ = write_reply(&mut stream, &response);
                             continue;
                         }
                         sessions.fetch_add(1, Ordering::SeqCst);
@@ -1389,6 +1392,18 @@ fn dispatch(
     }
 }
 
+/// Send `response` as one protocol line: render, append the newline, then
+/// one `write_all` and one `flush`. A reply written in two parts would
+/// leave its second part in Nagle's buffer until the client's delayed ACK
+/// (~40 ms per request); one write on a `TCP_NODELAY` socket goes out at
+/// once.
+fn write_reply(out: &mut impl Write, response: &Response) -> std::io::Result<()> {
+    let mut line = render_response(response);
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
+}
+
 /// One client session over the shared server. Reads with a short timeout
 /// so the thread notices a daemon-wide shutdown even while its client is
 /// idle; partial lines survive timeouts (the buffer accumulates until the
@@ -1401,6 +1416,7 @@ fn serve_connection(
     config: &TcpConfig,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut buf = String::new();
@@ -1412,8 +1428,7 @@ fn serve_connection(
                  closing connection"
             ),
         };
-        writeln!(writer, "{}", render_response(&response))?;
-        writer.flush()
+        write_reply(writer, &response)
     };
     loop {
         match reader.read_line(&mut buf) {
@@ -1436,8 +1451,7 @@ fn serve_connection(
                         false,
                     ),
                 };
-                writeln!(writer, "{}", render_response(&response))?;
-                writer.flush()?;
+                write_reply(&mut writer, &response)?;
                 if stop {
                     shutdown.store(true, Ordering::SeqCst);
                     return Ok(());

@@ -73,7 +73,7 @@ fn run_jobs(
     .enumerate()
     {
         let backend = match plan {
-            Some(plan) => BackendSpec::Chaos(plan),
+            Some(plan) => BackendSpec::Chaos(Box::new(plan)),
             None => BackendSpec::Sim,
         };
         mgr.submit(spec(
@@ -175,7 +175,7 @@ fn exhausted_backends_degrade_in_status_and_health() {
             "nexmark-q1",
             6.0,
             1,
-            BackendSpec::Chaos(sick_plan),
+            BackendSpec::Chaos(Box::new(sick_plan)),
         )),
         Request::Submit(spec("healthy", "nexmark-q2", 5.0, 2, BackendSpec::Sim)),
     ] {
@@ -233,7 +233,7 @@ fn watched_chaos_job_merges_stream_retries_into_health() {
             "nexmark-q2",
             5.0,
             4,
-            BackendSpec::Chaos(plan),
+            BackendSpec::Chaos(Box::new(plan)),
         )),
         Request::Submit(spec("clean", "nexmark-q2", 5.0, 4, BackendSpec::Sim)),
     ] {
@@ -443,7 +443,7 @@ fn epoch_windowed_outage_degrades_raises_the_slo_alarm_then_recovers() {
                 "nexmark-q2",
                 5.0,
                 4,
-                BackendSpec::Chaos(plan),
+                BackendSpec::Chaos(Box::new(plan)),
             )),
             Request::Submit(spec("twin", "nexmark-q2", 5.0, 4, BackendSpec::Sim)),
         ] {

@@ -63,8 +63,9 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Response {
-        writeln!(self.writer, "{line}").expect("send request");
-        self.writer.flush().expect("flush request");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("read response");
         serde_json::from_str(response.trim()).expect("valid response line")
@@ -324,6 +325,67 @@ fn explain_reproduces_the_decision_record_across_a_daemon_restart() {
         job: "never-ran".to_string(),
     });
     assert!(matches!(response, Response::Error { .. }));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ledger_cap_bounds_the_decision_trail_after_every_drain() {
+    let _g = gate();
+    let dir = std::env::temp_dir().join(format!("streamtune-flight-cap-{}", std::process::id()));
+    let expected_dir = dir.join("expected");
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServerConfig {
+        ledger_cap: 4,
+        ..ServerConfig::fast().with_parallelism(Parallelism::Serial)
+    };
+    let (mut server, _) = Server::bootstrap(Some(ModelStore::new(&dir)), config, || {
+        let cluster = SimCluster::flink_defaults(91);
+        HistoryGenerator::new(91).with_jobs(12).generate(&cluster)
+    })
+    .expect("bootstrap succeeds");
+
+    // Each job's record, read right after the drain that produced it: the
+    // full trail an uncapped daemon would have kept.
+    let mut trail = Vec::new();
+    for i in 0..10 {
+        let name = format!("j{i}");
+        let (response, _) = server.handle(&Request::Submit(spec(&name)));
+        assert!(matches!(response, Response::Submitted { .. }));
+        let (response, _) = server.handle(&Request::Recommend { job: name.clone() });
+        assert!(matches!(response, Response::Recommendation(_)));
+        assert!(
+            server.manager().decisions().len() <= 4,
+            "trail holds {} records after drain {i}",
+            server.manager().decisions().len()
+        );
+        let (response, _) = server.handle(&Request::Explain { job: name });
+        let Response::Explained(value) = response else {
+            panic!("the newest job explains itself, got {response:?}");
+        };
+        let line = serde_json::to_string(&value).expect("payload renders");
+        let record: streamtune::serve::DecisionRecord =
+            serde_json::from_str(&line).expect("record parses");
+        trail.push(record);
+    }
+    // The oldest jobs answer as they would after a snapshot.
+    let (response, _) = server.handle(&Request::Explain {
+        job: "j0".to_string(),
+    });
+    assert!(matches!(response, Response::Error { .. }));
+
+    // The snapshot persists exactly the newest `ledger_cap` records of the
+    // full trail, byte for byte.
+    let (response, _) = server.handle(&Request::Snapshot);
+    assert!(matches!(response, Response::Snapshotted { .. }));
+    ModelStore::new(&expected_dir)
+        .save_decisions(&trail[6..])
+        .expect("write expected trail");
+    let written = std::fs::read(dir.join("decisions.json")).expect("decisions.json written");
+    let expected = std::fs::read(expected_dir.join("decisions.json")).expect("expected trail");
+    assert_eq!(
+        written, expected,
+        "decisions.json holds the newest four records"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -41,8 +41,9 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Response {
-        writeln!(self.writer, "{line}").expect("send request");
-        self.writer.flush().expect("flush request");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("read response");
         serde_json::from_str(response.trim()).expect("valid response line")
@@ -261,6 +262,51 @@ fn slow_client_does_not_block_others() {
             .join()
             .expect("daemon thread")
             .expect("daemon exits cleanly");
+    });
+}
+
+#[test]
+fn closed_loop_round_trips_do_not_stall() {
+    // A closed-loop client waits for each reply before it sends the next
+    // request, so nothing of its own is in flight to carry an early ACK.
+    // A reply the daemon writes in two parts leaves the second part in
+    // Nagle's buffer until the client's delayed ACK fires (~40 ms on
+    // Linux), once per request.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Mutex::new(server());
+
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("client TCP_NODELAY");
+        let mut client = Client {
+            reader: BufReader::new(stream.try_clone().expect("clone stream")),
+            writer: stream,
+        };
+        let mut round_trips: Vec<Duration> = (0..40)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                assert!(matches!(client.request("\"health\""), Response::Health(_)));
+                start.elapsed()
+            })
+            .collect();
+        // Stop the daemon before asserting: a panic inside the scope
+        // would wait on the accept loop forever.
+        assert!(matches!(
+            client.request("\"shutdown\""),
+            Response::ShuttingDown
+        ));
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon exits cleanly");
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median health round trip {median:?} (sorted: {round_trips:?})"
+        );
     });
 }
 

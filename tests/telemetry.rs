@@ -246,7 +246,13 @@ fn chaos_run_with(parallelism: Parallelism) -> Vec<String> {
     plan.io_rate = 0.9;
     let mut lines = Vec::new();
     for request in [
-        Request::Submit(spec("a", "nexmark-q1", 6.0, 1, BackendSpec::Chaos(plan))),
+        Request::Submit(spec(
+            "a",
+            "nexmark-q1",
+            6.0,
+            1,
+            BackendSpec::Chaos(Box::new(plan)),
+        )),
         Request::Submit(spec("b", "nexmark-q5", 8.0, 2, BackendSpec::Sim)),
         Request::Status,
         Request::Recommend {
