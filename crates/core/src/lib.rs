@@ -19,4 +19,4 @@ pub mod tune;
 pub use label::{bottleneck_labels, LabelConfig};
 pub use pretrain::{PretrainConfig, Pretrained, Pretrainer};
 pub use streamtune_ged::Parallelism;
-pub use tune::{ModelKind, StreamTune, TuneConfig};
+pub use tune::{ModelKind, StreamTune, TuneConfig, WarmFits};

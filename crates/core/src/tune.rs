@@ -8,10 +8,30 @@
 //! non-bottleneck, redeploy, collect Algorithm 1 feedback into the
 //! dataset, and stop when the recommendation stabilizes without
 //! backpressure.
+//!
+//! # The shared first fit
+//!
+//! A job the tuner has no memory of enters its first iteration with the
+//! fit set `warmup[..max_warmup_points]` of its cluster, the same for
+//! every such job of that cluster. [`WarmFits`] holds that fit once per
+//! cluster: it is filled lazily by the first tune that needs it (a
+//! [`OnceLock`], so concurrent tunes of one cluster fit it once) and
+//! read by every later one. Any other iteration refits privately on a fit
+//! set built just before the fit, in the same order as always — warm-up,
+//! remembered memory, then each feedback point repeated
+//! `feedback_weight` times. Every model fits from scratch and
+//! deterministically, so a tune with the shared fit makes bit-identical
+//! decisions to one without it.
+//!
+//! Every fit an iteration uses shows as a `fit` span under `core.tune`:
+//! its `shared` field reads `hit` when the shared fit served it without
+//! fitting and `miss` when the span fitted a model. The shared lookups
+//! alone are counted in `streamtune_warm_fit_total{outcome}`.
 
 use crate::label::bottleneck_labels;
 use crate::pretrain::Pretrained;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use streamtune_backend::{TuneError, TuneOutcome, Tuner, TuningSession};
 use streamtune_model::{
     recommend_min_parallelism_at, BottleneckClassifier, GbdtConfig, MonotonicGbdt, MonotonicSvm,
@@ -108,9 +128,102 @@ impl Default for TuneConfig {
 pub struct StreamTune<'a> {
     pretrained: &'a Pretrained,
     config: TuneConfig,
+    /// Per-cluster first-iteration fits shared with other tuners, if any.
+    warm: Option<&'a WarmFits>,
     /// Cluster the last tuned job was assigned to.
     pub last_cluster: Option<usize>,
     jobs: std::collections::HashMap<String, JobState>,
+}
+
+/// Each cluster's `M_f` fitted on its capped warm-up set — the model the
+/// first iteration of every memoryless tune fits — filled lazily and
+/// shared read-only by every tuner handed it (see the module doc).
+///
+/// Build one per [`Pretrained`] and rebuild it whenever the bundle
+/// changes: a cell is indexed by cluster, not tied to the bundle.
+pub struct WarmFits {
+    model: ModelKind,
+    max_warmup_points: usize,
+    cells: Vec<OnceLock<Box<dyn BottleneckClassifier>>>,
+}
+
+impl std::fmt::Debug for WarmFits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WarmFits")
+            .field("model", &self.model)
+            .field("max_warmup_points", &self.max_warmup_points)
+            .field("clusters", &self.cells.len())
+            .field("filled", &self.filled())
+            .finish()
+    }
+}
+
+impl WarmFits {
+    /// Empty cells for every cluster of `pretrained`, to be filled with
+    /// `config`'s model family on `config`'s warm-up cap.
+    pub fn new(pretrained: &Pretrained, config: &TuneConfig) -> Self {
+        warm_fit_counters();
+        WarmFits {
+            model: config.model,
+            max_warmup_points: config.max_warmup_points,
+            cells: (0..pretrained.clusters.len())
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// How many clusters' fits have been computed so far.
+    pub fn filled(&self) -> usize {
+        self.cells.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Whether these fits are the ones a tuner with `config` would make.
+    fn serves(&self, config: &TuneConfig) -> bool {
+        self.model == config.model && self.max_warmup_points == config.max_warmup_points
+    }
+
+    /// The fit of `cluster` on `warmup` (already capped), fitting it on
+    /// first use.
+    fn get_or_fit(
+        &self,
+        cluster: usize,
+        warmup: &[TrainPoint],
+    ) -> Option<&dyn BottleneckClassifier> {
+        let cell = self.cells.get(cluster)?;
+        let mut span = streamtune_telemetry::child_span("core.tune", "fit");
+        let mut fitted = false;
+        let model = cell.get_or_init(|| {
+            fitted = true;
+            fit_model(self.model, warmup)
+        });
+        span.add_field("shared", if fitted { "miss" } else { "hit" });
+        span.add_field("points", warmup.len());
+        let (hits, misses) = warm_fit_counters();
+        if fitted { misses } else { hits }.inc();
+        Some(model.as_ref())
+    }
+}
+
+/// A fresh `kind` model fitted on `data`.
+fn fit_model(kind: ModelKind, data: &[TrainPoint]) -> Box<dyn BottleneckClassifier> {
+    let mut mf = kind.build();
+    mf.fit(data);
+    mf
+}
+
+/// `streamtune_warm_fit_total{outcome}`: shared warm-up fit lookups that
+/// found the fit ready (`hit`) or computed it (`miss`). Observational.
+fn warm_fit_counters() -> &'static (streamtune_telemetry::Counter, streamtune_telemetry::Counter) {
+    static CELL: OnceLock<(streamtune_telemetry::Counter, streamtune_telemetry::Counter)> =
+        OnceLock::new();
+    CELL.get_or_init(|| {
+        let r = streamtune_telemetry::global();
+        let help = "Shared warm-up M_f lookups by first tuning iterations, by outcome (hit: already fitted; miss: fitted by this lookup).";
+        (
+            r.counter_with("streamtune_warm_fit_total", help, &[("outcome", "hit")]),
+            r.counter_with("streamtune_warm_fit_total", help, &[("outcome", "miss")]),
+        )
+    })
 }
 
 /// Persistent per-job knowledge across tuning processes.
@@ -172,9 +285,19 @@ impl<'a> StreamTune<'a> {
         StreamTune {
             pretrained,
             config,
+            warm: None,
             last_cluster: None,
             jobs: std::collections::HashMap::new(),
         }
+    }
+
+    /// Serve memoryless first iterations from `warm` (builder-style).
+    /// `warm` must have been built for the same bundle; fits made for a
+    /// different model family or warm-up cap are ignored. Decisions are
+    /// identical with or without it.
+    pub fn with_warm_fits(mut self, warm: &'a WarmFits) -> Self {
+        self.warm = warm.serves(&self.config).then_some(warm);
+        self
     }
 
     /// Accumulated feedback points for a job (for tests/inspection).
@@ -209,6 +332,25 @@ impl<'a> StreamTune<'a> {
     }
 }
 
+/// The `M_f` fit set of one iteration (Algorithm 2, lines 3 and 11):
+/// the capped warm-up points, the job's remembered feedback, then this
+/// tune's feedback with each point repeated `feedback_weight` times.
+fn fit_set(
+    warmup: &[TrainPoint],
+    memory: &[TrainPoint],
+    feedback: &[TrainPoint],
+    feedback_weight: usize,
+) -> Vec<TrainPoint> {
+    let weight = feedback_weight.max(1);
+    let mut dataset = Vec::with_capacity(warmup.len() + memory.len() + feedback.len() * weight);
+    dataset.extend_from_slice(warmup);
+    dataset.extend_from_slice(memory);
+    for point in feedback {
+        dataset.extend(std::iter::repeat_n(point, weight).cloned());
+    }
+    dataset
+}
+
 impl Tuner for StreamTune<'_> {
     fn name(&self) -> &str {
         "StreamTune"
@@ -227,20 +369,14 @@ impl Tuner for StreamTune<'_> {
         };
         self.last_cluster = Some(cluster_idx);
         // Line 3: warm-up dataset, plus the job's remembered feedback from
-        // earlier tuning processes (the persistent fine-tuned layer).
-        let mut dataset: Vec<TrainPoint> = model
-            .warmup
-            .iter()
-            .take(self.config.max_warmup_points)
-            .cloned()
-            .collect();
+        // earlier tuning processes (the persistent fine-tuned layer). The
+        // fit set is assembled only when a refit needs it (`fit_set`).
+        let warmup = &model.warmup[..model.warmup.len().min(self.config.max_warmup_points)];
         let embeddings = self.embeddings_inner(session.flow(), cluster_idx);
         let demand = streamtune_sim::rates::demand_rates(flow);
         let job_state = self.jobs.entry(flow.name().to_string()).or_default();
-        dataset.extend(job_state.memory.iter().cloned());
         let mut session_feedback: Vec<TrainPoint> = Vec::new();
 
-        let mut mf = self.config.model.build();
         let mut current: Option<streamtune_dataflow::ParallelismAssignment> = None;
         let mut last_backpressure = true;
         let mut iterations = 0u32;
@@ -274,23 +410,40 @@ impl Tuner for StreamTune<'_> {
             iterations += 1;
             // Line 5: fit the monotonic model.
             let mut degrees = Vec::with_capacity(n_ops);
-            if dataset.is_empty() {
+            let memoryless = job_state.memory.is_empty() && session_feedback.is_empty();
+            if memoryless && warmup.is_empty() {
                 // No knowledge at all: be conservative, start at 1.
                 degrees = vec![1; n_ops];
             } else {
-                mf.fit(&dataset);
+                let shared = match self.warm {
+                    Some(warm) if memoryless => warm.get_or_fit(cluster_idx, warmup),
+                    _ => None,
+                };
+                let private;
+                let mf = match shared {
+                    Some(mf) => mf,
+                    None => {
+                        let dataset = fit_set(
+                            warmup,
+                            &job_state.memory,
+                            &session_feedback,
+                            self.config.feedback_weight,
+                        );
+                        let mut span = streamtune_telemetry::child_span("core.tune", "fit");
+                        span.add_field("shared", "miss");
+                        span.add_field("points", dataset.len());
+                        private = fit_model(self.config.model, &dataset);
+                        private.as_ref()
+                    }
+                };
                 // Lines 6–9: recommend per operator in topological order.
                 let mut by_op = vec![1u32; n_ops];
                 for &op in flow.topo_order() {
                     let i = op.index();
                     let h = &embeddings[i];
-                    let mut rec = recommend_min_parallelism_at(
-                        mf.as_ref(),
-                        h,
-                        p_max,
-                        self.config.safety_threshold,
-                    )
-                    .unwrap_or(p_max);
+                    let mut rec =
+                        recommend_min_parallelism_at(mf, h, p_max, self.config.safety_threshold)
+                            .unwrap_or(p_max);
                     // First visit to this operating point: add a safety pad
                     // so exploration starts from the safe side (the paper's
                     // StreamTune records zero backpressure occurrences).
@@ -372,10 +525,7 @@ impl Tuner for StreamTune<'_> {
                         bottleneck: l == 1.0,
                     }
                 };
-                session_feedback.push(point.clone());
-                for _ in 0..self.config.feedback_weight.max(1) {
-                    dataset.push(point.clone());
-                }
+                session_feedback.push(point);
             }
             if !obs.job_backpressure {
                 best_good = Some(assignment.clone());
@@ -512,6 +662,64 @@ mod tests {
         assert!(outcome.iterations <= 2);
         // +1 allows the best-known-good fallback redeploy at loop exit.
         assert!(outcome.reconfigurations <= 3);
+    }
+
+    /// Tune `flow_at(m)` for each multiplier in turn on one long-lived
+    /// tuner (so later tunes run with the job's memory).
+    fn tune_schedule(
+        pre: &Pretrained,
+        warm: Option<&WarmFits>,
+        config: TuneConfig,
+        multipliers: &[f64],
+    ) -> Vec<TuneOutcome> {
+        let mut tuner = StreamTune::new(pre, config);
+        if let Some(warm) = warm {
+            tuner = tuner.with_warm_fits(warm);
+        }
+        let mut cluster = SimCluster::flink_defaults(37);
+        multipliers
+            .iter()
+            .map(|&m| {
+                let mut w = nexmark::q5(Engine::Flink);
+                w.set_multiplier(m);
+                let mut session = TuningSession::new(&mut cluster, &w.flow);
+                tuner.tune(&mut session).expect("tuning succeeds")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_warm_fit_matches_fresh_fits_with_and_without_memory() {
+        let cluster = SimCluster::flink_defaults(37);
+        let pre = pretrained_on(&cluster, 37, 12);
+        let config = TuneConfig::default();
+        let warm = WarmFits::new(&pre, &config);
+        // The first tune is memoryless (served by the shared fit); the
+        // later ones run with the job's memory and refit privately.
+        let schedule = [4.0, 9.0, 6.0];
+        let fresh = tune_schedule(&pre, None, config.clone(), &schedule);
+        let shared = tune_schedule(&pre, Some(&warm), config.clone(), &schedule);
+        assert_eq!(shared, fresh);
+        assert_eq!(warm.filled(), 1, "only the memoryless tune fills a fit");
+        // A second job of the same cluster reads the now-filled fit.
+        let again = tune_schedule(&pre, Some(&warm), config, &schedule);
+        assert_eq!(again, fresh);
+        assert_eq!(warm.filled(), 1);
+    }
+
+    #[test]
+    fn warm_fits_for_another_model_family_are_ignored() {
+        let cluster = SimCluster::flink_defaults(41);
+        let pre = pretrained_on(&cluster, 41, 10);
+        let warm = WarmFits::new(&pre, &TuneConfig::default());
+        let svm = TuneConfig {
+            model: ModelKind::Svm,
+            ..TuneConfig::default()
+        };
+        let fresh = tune_schedule(&pre, None, svm.clone(), &[7.0]);
+        let shared = tune_schedule(&pre, Some(&warm), svm, &[7.0]);
+        assert_eq!(shared, fresh);
+        assert_eq!(warm.filled(), 0, "an SVM tuner never reads GBDT fits");
     }
 
     #[test]

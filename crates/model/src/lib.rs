@@ -72,7 +72,10 @@ fn parallelism_feature(parallelism: u32) -> f64 {
 }
 
 /// A bottleneck classifier over `(embedding, parallelism)` inputs.
-pub trait BottleneckClassifier {
+///
+/// `Send + Sync` so one fitted model can serve tunes on several worker
+/// threads at once (the tuner's shared warm-up fit).
+pub trait BottleneckClassifier: Send + Sync {
     /// Fit on labeled points (refit from scratch each call — the warm-up
     /// dataset plus accumulated feedback is small).
     fn fit(&mut self, data: &[TrainPoint]);

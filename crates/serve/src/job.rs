@@ -6,7 +6,10 @@
 //! corpus is shared read-only. Running a job is therefore a pure function
 //! of `(pretrained, spec)`, which is what makes the worker-pool fan-out
 //! deterministic: any thread count ([`Parallelism`]) and any submission
-//! interleaving produce bit-identical per-job outcomes.
+//! interleaving produce bit-identical per-job outcomes. The one thing
+//! runs share besides the corpus is [`WarmFits`]: each cluster's
+//! first-iteration model, a deterministic function of the corpus, fitted
+//! by whichever run needs it first.
 //!
 //! Execution is batched, not streamed: `submit` only admits (and assigns
 //! the job to its cluster); the first verb that needs results (`status`,
@@ -19,14 +22,15 @@ use crate::error::ServeError;
 use crate::journal::{journal_file_name, JournaledBackend};
 use crate::protocol::{BackendSpec, JobSpec, JobStatusLine};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::Arc;
 use streamtune_backend::{
     ChaosBackend, ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceEntry, TuneError,
     TuneOutcome, Tuner, TuningSession,
 };
 use streamtune_connect::{ingest_file, FlinkBackend, IngestConfig};
-use streamtune_core::{Pretrained, StreamTune, TuneConfig};
+use streamtune_core::{Pretrained, StreamTune, TuneConfig, WarmFits};
 use streamtune_ged::{parallel_map, GedCacheStats, Parallelism};
 use streamtune_sim::SimCluster;
 use streamtune_workloads::{find_workload, rates::Engine};
@@ -38,8 +42,9 @@ pub struct JobResult {
     pub cluster: usize,
     /// The tuning outcome.
     pub outcome: TuneOutcome,
-    /// Operator names, aligned with the outcome's assignment.
-    pub op_names: Vec<String>,
+    /// Operator names, aligned with the outcome's assignment. Jobs with
+    /// the same operator list share one allocation.
+    pub op_names: Arc<[String]>,
 }
 
 /// Lifecycle state of an admitted job.
@@ -86,12 +91,25 @@ pub struct Job {
     /// [`JobManager::resubmit`]s).
     pub retunes: u32,
     /// What the job's retry loops absorbed or gave up on, accumulated
-    /// over every run (initial tune plus re-tunes).
-    pub retry: RetryStats,
-    /// Why the *next* run of the job will happen (`"submit"`, `"retune"`
-    /// or `"resume"`) — copied into the run's [`DecisionRecord`]. Not
-    /// persisted: terminal jobs do not run again.
-    pub trigger: String,
+    /// over every run (initial tune plus re-tunes); `None` while every
+    /// counter is zero. Read it through [`Job::retry`].
+    pub retry: Option<Box<RetryStats>>,
+    /// Why the *next* run of the job will happen (one of the
+    /// [`decision::trigger`] names) — copied into the run's
+    /// [`DecisionRecord`]. Not persisted: terminal jobs do not run again.
+    pub trigger: &'static str,
+}
+
+impl Job {
+    /// The job's accumulated retry counters (all zero if none).
+    pub fn retry(&self) -> RetryStats {
+        self.retry.as_deref().copied().unwrap_or_default()
+    }
+}
+
+/// Boxed retry counters, or `None` when they are all zero.
+fn boxed_retry(retry: RetryStats) -> Option<Box<RetryStats>> {
+    (retry != RetryStats::default()).then(|| Box::new(retry))
 }
 
 /// A job as persisted in the store's ledger (`jobs.json`). Queued jobs
@@ -145,7 +163,7 @@ struct RunReport {
 /// Audit inputs one run carries into its [`DecisionRecord`]: why the run
 /// happened and which model generation is serving it.
 struct AuditCtx {
-    trigger: String,
+    trigger: &'static str,
     generation: u64,
 }
 
@@ -192,6 +210,16 @@ fn sim_for(spec: &JobSpec) -> SimCluster {
     }
 }
 
+/// What every run of one drain shares: the model, its shared warm-up
+/// fits (which change no decision) and the daemon-wide run policy.
+#[derive(Clone, Copy)]
+struct RunEnv<'a> {
+    pretrained: &'a Pretrained,
+    warm: &'a WarmFits,
+    retry: RetryPolicy,
+    chaos: Option<u64>,
+}
+
 /// Run one job to completion — a pure function of `(pretrained, spec,
 /// retry)`. `cluster` is the admission-time assignment (computed once in
 /// [`JobManager::submit`]; `StreamTune` re-derives the same value
@@ -202,16 +230,14 @@ fn sim_for(spec: &JobSpec) -> SimCluster {
 /// `Failed` state — it must not unwind through [`parallel_map`], which
 /// would take the whole drain (and the server lock) down with it.
 fn run_job(
-    pretrained: &Pretrained,
+    env: RunEnv<'_>,
     spec: &JobSpec,
     cluster: usize,
-    retry: RetryPolicy,
-    chaos: Option<u64>,
     journal: Option<JournalCtx>,
     audit: AuditCtx,
 ) -> RunReport {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_inner(pretrained, spec, cluster, retry, chaos, journal, audit)
+        run_job_inner(env, spec, cluster, journal, audit)
     })) {
         Ok(report) => report,
         Err(payload) => RunReport {
@@ -226,14 +252,18 @@ fn run_job(
 }
 
 fn run_job_inner(
-    pretrained: &Pretrained,
+    env: RunEnv<'_>,
     spec: &JobSpec,
     cluster: usize,
-    retry: RetryPolicy,
-    chaos: Option<u64>,
     journal: Option<JournalCtx>,
     audit: AuditCtx,
 ) -> RunReport {
+    let RunEnv {
+        pretrained,
+        warm,
+        retry,
+        chaos,
+    } = env;
     let failed = |message: String| RunReport {
         state: JobState::Failed(message),
         retry: RetryStats::default(),
@@ -283,7 +313,7 @@ fn run_job_inner(
             };
         }
     };
-    let mut tuner = StreamTune::new(pretrained, TuneConfig::default());
+    let mut tuner = StreamTune::new(pretrained, TuneConfig::default()).with_warm_fits(warm);
     // The journal layer sits between the session and the (possibly
     // chaos-wrapped) backend: journaled epochs replay without touching
     // the live stack; fresh epochs are recorded and fsync'd before the
@@ -320,7 +350,7 @@ fn run_job_inner(
             let view = streamtune_ged::GraphView::of(&flow);
             let decision = DecisionRecord {
                 job: spec.name.clone(),
-                trigger: audit.trigger,
+                trigger: audit.trigger.to_string(),
                 query: spec.query.clone(),
                 multiplier: spec.multiplier,
                 seed: spec.seed,
@@ -358,7 +388,7 @@ fn run_job_inner(
                 JobState::Done(JobResult {
                     cluster,
                     outcome,
-                    op_names,
+                    op_names: op_names.into(),
                 }),
                 Some(decision),
             )
@@ -416,7 +446,7 @@ fn ingested_report(
         state: JobState::Done(JobResult {
             cluster,
             outcome,
-            op_names: report.operators.clone(),
+            op_names: report.operators.as_slice().into(),
         }),
         retry: RetryStats::default(),
         // Ingested deployments are admissions of a past run, not tuning
@@ -425,16 +455,68 @@ fn ingested_report(
     }
 }
 
+/// Job positions keyed by a 64-bit hash of the job name, so the ledger
+/// stores each name once (in its spec). Colliding names take the next
+/// free key (linear probing); positions are only removed by a full
+/// [`NameIndex::rebuild`], so probe chains never break.
+#[derive(Debug, Default)]
+struct NameIndex(HashMap<u64, usize>);
+
+impl NameIndex {
+    /// Where `name` sits in `jobs`.
+    fn find(&self, jobs: &[Job], name: &str) -> Option<usize> {
+        self.find_from(crate::store::fnv1a64(name.as_bytes()), jobs, name)
+    }
+
+    /// [`NameIndex::find`], probing from `key`.
+    fn find_from(&self, mut key: u64, jobs: &[Job], name: &str) -> Option<usize> {
+        loop {
+            let &i = self.0.get(&key)?;
+            if jobs[i].spec.name == name {
+                return Some(i);
+            }
+            key = key.wrapping_add(1);
+        }
+    }
+
+    /// Record that `name` (not yet indexed) sits at `position`.
+    fn insert(&mut self, name: &str, position: usize) {
+        self.insert_from(crate::store::fnv1a64(name.as_bytes()), position);
+    }
+
+    /// [`NameIndex::insert`], probing from `key`.
+    fn insert_from(&mut self, mut key: u64, position: usize) {
+        while self.0.contains_key(&key) {
+            key = key.wrapping_add(1);
+        }
+        self.0.insert(key, position);
+    }
+
+    /// Re-index `jobs` from scratch.
+    fn rebuild(&mut self, jobs: &[Job]) {
+        self.0.clear();
+        for (i, job) in jobs.iter().enumerate() {
+            self.insert(&job.spec.name, i);
+        }
+    }
+}
+
 /// Admits named jobs against one shared pre-trained corpus and drains
 /// them in deterministic parallel batches.
 #[derive(Debug)]
 pub struct JobManager {
     pretrained: Pretrained,
+    /// The first-iteration `M_f` of each cluster of `pretrained`, fitted
+    /// lazily by the first drained job that needs it.
+    warm: WarmFits,
     parallelism: Parallelism,
     retry: RetryPolicy,
     chaos: Option<u64>,
     jobs: Vec<Job>,
-    index: HashMap<String, usize>,
+    index: NameIndex,
+    /// Every distinct operator-name list of a finished job, so results
+    /// share one copy per list.
+    op_lists: HashSet<Arc<[String]>>,
     /// Where per-job epoch journals live (`None` disables journaling —
     /// in-memory daemons and unit tests).
     journal_dir: Option<PathBuf>,
@@ -457,12 +539,14 @@ impl JobManager {
     /// A manager over `pretrained`, draining on `parallelism` workers.
     pub fn new(pretrained: Pretrained, parallelism: Parallelism) -> Self {
         JobManager {
+            warm: WarmFits::new(&pretrained, &TuneConfig::default()),
             pretrained,
             parallelism,
             retry: RetryPolicy::default(),
             chaos: None,
             jobs: Vec::new(),
-            index: HashMap::new(),
+            index: NameIndex::default(),
+            op_lists: HashSet::new(),
             journal_dir: None,
             resume: HashMap::new(),
             generation: 0,
@@ -524,9 +608,45 @@ impl JobManager {
         &self.jobs
     }
 
+    /// The shared first-iteration fits of the live model.
+    pub fn warm_fits(&self) -> &WarmFits {
+        &self.warm
+    }
+
     /// Look up a job by name.
     pub fn job(&self, name: &str) -> Option<&Job> {
-        self.index.get(name).map(|&i| &self.jobs[i])
+        self.position(name).map(|i| &self.jobs[i])
+    }
+
+    /// Where job `name` sits in the ledger.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.index.find(&self.jobs, name)
+    }
+
+    /// Append a queued job to the ledger (its name must be free).
+    fn admit(&mut self, spec: JobSpec, cluster: usize, trigger: &'static str) {
+        self.index.insert(&spec.name, self.jobs.len());
+        self.jobs.push(Job {
+            spec,
+            cluster,
+            state: JobState::Queued,
+            retunes: 0,
+            retry: None,
+            trigger,
+        });
+    }
+
+    /// `state` with its operator-name list replaced by the shared copy.
+    fn interned(&mut self, mut state: JobState) -> JobState {
+        if let JobState::Done(result) = &mut state {
+            match self.op_lists.get(&result.op_names) {
+                Some(shared) => result.op_names = Arc::clone(shared),
+                None => {
+                    self.op_lists.insert(Arc::clone(&result.op_names));
+                }
+            }
+        }
+        state
     }
 
     /// Number of jobs still queued.
@@ -540,7 +660,7 @@ impl JobManager {
     /// Admit a job: validate its workload, assign it to its cluster, and
     /// queue it. Returns the assigned cluster.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
-        if self.index.contains_key(&spec.name) {
+        if self.position(&spec.name).is_some() {
             return Err(ServeError::DuplicateJob { name: spec.name });
         }
         let workload =
@@ -550,15 +670,7 @@ impl JobManager {
         let flow = workload.at(spec.multiplier);
         let (cluster, _) = self.pretrained.assign(&flow);
         self.start_journal(&spec);
-        self.index.insert(spec.name.clone(), self.jobs.len());
-        self.jobs.push(Job {
-            spec,
-            cluster,
-            state: JobState::Queued,
-            retunes: 0,
-            retry: RetryStats::default(),
-            trigger: decision::trigger::SUBMIT.to_string(),
-        });
+        self.admit(spec, cluster, decision::trigger::SUBMIT);
         Ok(cluster)
     }
 
@@ -568,9 +680,8 @@ impl JobManager {
     /// a pure function of `(pretrained, spec)` — so an automatic re-tune
     /// is bit-identical to manually re-submitting at the new rate.
     pub fn resubmit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
-        let &i = self
-            .index
-            .get(&spec.name)
+        let i = self
+            .position(&spec.name)
             .ok_or_else(|| ServeError::UnknownJob {
                 name: spec.name.clone(),
             })?;
@@ -588,7 +699,7 @@ impl JobManager {
         job.cluster = cluster;
         job.state = JobState::Queued;
         job.retunes += 1;
-        job.trigger = decision::trigger::RETUNE.to_string();
+        job.trigger = decision::trigger::RETUNE;
         Ok(cluster)
     }
 
@@ -599,6 +710,7 @@ impl JobManager {
     /// cluster labels now reflect the live model. Returns how many jobs
     /// changed cluster.
     pub fn swap_pretrained(&mut self, pretrained: Pretrained) -> usize {
+        self.warm = WarmFits::new(&pretrained, &TuneConfig::default());
         self.pretrained = pretrained;
         self.generation += 1;
         let mut changed = 0;
@@ -639,12 +751,9 @@ impl JobManager {
             }
         }
         self.jobs = kept;
-        self.index = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.spec.name.clone(), i))
-            .collect();
+        self.index.rebuild(&self.jobs);
+        // Drop operator lists no kept job shares any more.
+        self.op_lists.retain(|names| Arc::strong_count(names) > 1);
         terminal - cap
     }
 
@@ -661,7 +770,7 @@ impl JobManager {
 
     /// Cancel a still-queued job.
     pub fn cancel(&mut self, name: &str) -> Result<(), ServeError> {
-        let &i = self.index.get(name).ok_or_else(|| ServeError::UnknownJob {
+        let i = self.position(name).ok_or_else(|| ServeError::UnknownJob {
             name: name.to_string(),
         })?;
         match self.jobs[i].state {
@@ -681,12 +790,12 @@ impl JobManager {
     /// the shared corpus and its own spec, so any [`Parallelism`] and any
     /// prior submission interleaving yield identical per-job states.
     pub fn drain(&mut self) {
-        let queued: Vec<(usize, JobSpec, usize, String)> = self
+        let queued: Vec<(usize, JobSpec, usize, &'static str)> = self
             .jobs
             .iter()
             .enumerate()
             .filter(|(_, j)| j.state == JobState::Queued)
-            .map(|(i, j)| (i, j.spec.clone(), j.cluster, j.trigger.clone()))
+            .map(|(i, j)| (i, j.spec.clone(), j.cluster, j.trigger))
             .collect();
         if queued.is_empty() {
             return;
@@ -699,7 +808,7 @@ impl JobManager {
             usize,
             JobSpec,
             usize,
-            String,
+            &'static str,
             std::sync::Mutex<Option<JournalCtx>>,
         );
         let pending: Vec<Pending> = queued
@@ -712,9 +821,12 @@ impl JobManager {
                 (i, spec, cluster, trigger, std::sync::Mutex::new(ctx))
             })
             .collect();
-        let pretrained = &self.pretrained;
-        let retry = self.retry;
-        let chaos = self.chaos;
+        let env = RunEnv {
+            pretrained: &self.pretrained,
+            warm: &self.warm,
+            retry: self.retry,
+            chaos: self.chaos,
+        };
         let generation = self.generation;
         // One span covers the whole batch; its context is re-attached
         // inside every worker so per-job spans nest under it even when
@@ -732,15 +844,20 @@ impl JobManager {
                 job_span.add_field("query", &spec.query);
                 let journal = journal.lock().map(|mut slot| slot.take()).unwrap_or(None);
                 let audit = AuditCtx {
-                    trigger: trigger.clone(),
+                    trigger,
                     generation,
                 };
-                run_job(pretrained, spec, *cluster, retry, chaos, journal, audit)
+                run_job(env, spec, *cluster, journal, audit)
             },
         );
         for ((i, _, _, _, _), report) in pending.into_iter().zip(results) {
-            self.jobs[i].state = report.state;
-            self.jobs[i].retry.absorb(&report.retry);
+            self.jobs[i].state = self.interned(report.state);
+            if report.retry != RetryStats::default() {
+                self.jobs[i]
+                    .retry
+                    .get_or_insert_with(Box::default)
+                    .absorb(&report.retry);
+            }
             if let Some(decision) = report.decision {
                 self.decisions.push(decision);
             }
@@ -813,7 +930,7 @@ impl JobManager {
                 cluster: j.cluster,
                 state: j.state.clone(),
                 retunes: j.retunes,
-                retry: j.retry,
+                retry: j.retry(),
             })
             .collect()
     }
@@ -822,19 +939,20 @@ impl JobManager {
     /// the ledger are rejected the same way `submit` rejects them.
     pub fn restore(&mut self, jobs: Vec<PersistedJob>) -> Result<(), ServeError> {
         for p in jobs {
-            if self.index.contains_key(&p.spec.name) {
+            if self.position(&p.spec.name).is_some() {
                 return Err(ServeError::DuplicateJob { name: p.spec.name });
             }
-            self.index.insert(p.spec.name.clone(), self.jobs.len());
+            self.index.insert(&p.spec.name, self.jobs.len());
+            let state = self.interned(p.state);
             self.jobs.push(Job {
                 spec: p.spec,
                 cluster: p.cluster,
-                state: p.state,
+                state,
                 retunes: p.retunes,
-                retry: p.retry,
+                retry: boxed_retry(p.retry),
                 // Restored jobs are terminal and never run again; if one
                 // is later re-tuned, `resubmit` overwrites this.
-                trigger: decision::trigger::SUBMIT.to_string(),
+                trigger: decision::trigger::SUBMIT,
             });
         }
         Ok(())
@@ -877,7 +995,7 @@ impl JobManager {
                 let _ = std::fs::remove_file(&path);
                 continue;
             };
-            match self.index.get(&loaded.spec.name).copied() {
+            match self.position(&loaded.spec.name) {
                 Some(i) if self.jobs[i].spec == loaded.spec => {
                     if self.jobs[i].state == JobState::Queued {
                         self.resume.insert(loaded.spec.name.clone(), loaded.entries);
@@ -921,19 +1039,9 @@ impl JobManager {
                 job.cluster = cluster;
                 job.state = JobState::Queued;
                 job.retunes += 1;
-                job.trigger = decision::trigger::RESUME.to_string();
+                job.trigger = decision::trigger::RESUME;
             }
-            None => {
-                self.index.insert(spec.name.clone(), self.jobs.len());
-                self.jobs.push(Job {
-                    spec,
-                    cluster,
-                    state: JobState::Queued,
-                    retunes: 0,
-                    retry: RetryStats::default(),
-                    trigger: decision::trigger::RESUME.to_string(),
-                });
-            }
+            None => self.admit(spec, cluster, decision::trigger::RESUME),
         }
         Ok(())
     }
@@ -1081,10 +1189,38 @@ mod tests {
             std::mem::size_of::<JobSpec>()
         );
         assert!(
-            std::mem::size_of::<Job>() <= 320,
+            std::mem::size_of::<Job>() <= 216,
             "Job is {} B",
             std::mem::size_of::<Job>()
         );
+    }
+
+    #[test]
+    fn name_index_probes_past_colliding_keys() {
+        let job = |name: &str| Job {
+            spec: spec(name, "nexmark-q1", 1),
+            cluster: 0,
+            state: JobState::Queued,
+            retunes: 0,
+            retry: None,
+            trigger: decision::trigger::SUBMIT,
+        };
+        let jobs = vec![job("a"), job("b"), job("c")];
+        // Three names whose hashes all land on the last key: the probe
+        // wraps around to 0 and 1.
+        let mut index = NameIndex::default();
+        for i in 0..jobs.len() {
+            index.insert_from(u64::MAX, i);
+        }
+        for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(index.find_from(u64::MAX, &jobs, &job.spec.name), Some(i));
+        }
+        assert_eq!(index.find_from(u64::MAX, &jobs, "d"), None);
+        // A rebuild re-keys every job by its own hash.
+        index.rebuild(&jobs);
+        for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(index.find(&jobs, &job.spec.name), Some(i));
+        }
     }
 
     #[test]
@@ -1176,10 +1312,10 @@ mod tests {
             other => panic!("expected Done, got {other:?}"),
         }
         assert!(
-            job.retry.transient_faults > 0,
+            job.retry().transient_faults > 0,
             "the transient plan must have fired during the run"
         );
-        assert_eq!(job.retry.exhausted, 0);
+        assert_eq!(job.retry().exhausted, 0);
     }
 
     #[test]
@@ -1203,7 +1339,7 @@ mod tests {
             other => panic!("expected Degraded, got {other:?}"),
         }
         assert_eq!(job.state.name(), "degraded");
-        assert!(job.retry.exhausted > 0);
+        assert!(job.retry().exhausted > 0);
         // Degraded is terminal: status carries the detail, cancel refuses.
         let line = &mgr.status_lines()[0];
         assert_eq!(line.state, "degraded");

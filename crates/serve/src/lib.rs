@@ -19,7 +19,10 @@
 //!   submission interleaving produce bit-identical per-job outcomes.
 //!   Monitor-triggered re-tunes go through [`JobManager::resubmit`] and
 //!   are bit-identical to manual re-submits at the shifted rate; model
-//!   swaps go through [`JobManager::swap_pretrained`];
+//!   swaps go through [`JobManager::swap_pretrained`]. Jobs with no
+//!   memory share each cluster's first-iteration `M_f`
+//!   ([`WarmFits`](streamtune_core::WarmFits), fitted once per model),
+//!   which changes no decision;
 //! * [`protocol`] — the **line-delimited JSON control protocol**
 //!   (`submit` / `status` / `recommend` / `cancel` / `watch` / `unwatch` /
 //!   `drift_status` / `tick` / `health` / `metrics` / `snapshot` /

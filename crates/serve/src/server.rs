@@ -737,7 +737,7 @@ impl Server {
             .map(|j| {
                 // A watched job's monitor stream retries independently of
                 // the tuning runs; its counters belong to the same job.
-                let mut retry = j.retry;
+                let mut retry = j.retry();
                 if let Some(stream) = self.monitor.stream_retry_stats(&j.spec.name) {
                     retry.absorb(&stream);
                 }
@@ -870,7 +870,7 @@ impl Server {
                             job: job.clone(),
                             query: j.spec.query.clone(),
                             cluster: result.cluster,
-                            op_names: result.op_names.clone(),
+                            op_names: result.op_names.to_vec(),
                             degrees: result.outcome.final_assignment.as_slice().to_vec(),
                             total: result.outcome.final_assignment.total(),
                             reconfigurations: result.outcome.reconfigurations,

@@ -89,7 +89,7 @@ fn run_jobs(
     mgr.jobs()
         .iter()
         .map(|j| match &j.state {
-            JobState::Done(result) => (result.clone(), j.retry),
+            JobState::Done(result) => (result.clone(), j.retry()),
             other => panic!("expected Done for {}, got {other:?}", j.spec.name),
         })
         .collect()

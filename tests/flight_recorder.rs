@@ -79,6 +79,7 @@ struct FlatSpan {
     parent: Option<u64>,
     target: String,
     name: String,
+    fields: std::collections::HashMap<String, String>,
 }
 
 fn flatten_spans(trace: &serde_json::Value) -> Vec<FlatSpan> {
@@ -105,6 +106,8 @@ fn flatten_spans(trace: &serde_json::Value) -> Vec<FlatSpan> {
                 serde_json::Value::String(n) => n.clone(),
                 other => panic!("name must be a string, got {other:?}"),
             },
+            fields: serde::Deserialize::deserialize(s.field("fields").expect("fields"))
+                .expect("fields map names to text"),
         })
         .collect()
 }
@@ -171,7 +174,7 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     // of the handler — the handler's time must not be billed to the
     // wait), the handler, the job drain, the per-job worker (stitched
     // across the thread hop), the tuner, and inside it the model's
-    // cluster assignment and the backend deploys.
+    // cluster assignment, the `M_f` fit and the backend deploys.
     let dispatch = find(&spans, "dispatch");
     assert_eq!(dispatch.parent, None, "dispatch is the root");
     assert_eq!(dispatch.target, "serve.dispatch");
@@ -189,6 +192,11 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     let assign = find(&spans, "assign_cluster");
     assert_eq!(assign.parent, Some(tune.id), "GNN path hangs off the tuner");
     assert_eq!(assign.target, "core.tune");
+    // The daemon's first job of a cluster fills the shared warm-up fit.
+    let fit = find(&spans, "fit");
+    assert_eq!(fit.parent, Some(tune.id));
+    assert_eq!(fit.target, "core.tune");
+    assert_eq!(fit.fields.get("shared").map(String::as_str), Some("miss"));
     let deploy = find(&spans, "deploy");
     assert_eq!(deploy.parent, Some(tune.id));
     assert_eq!(deploy.target, "backend.session");

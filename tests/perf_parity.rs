@@ -130,3 +130,140 @@ fn serial_and_parallel_pretraining_produce_identical_models() {
         "serial and scoped-thread pre-training must be bit-identical"
     );
 }
+
+// ---- the shared warm-up fit ------------------------------------------------
+
+use streamtune::core::Pretrained;
+use streamtune::serve::{JobManager, JobState};
+use streamtune::workloads::rates::Engine;
+
+/// What the daemon reports of one tune: the outcome (degrees,
+/// reconfigurations, iterations, …) and the rejected candidate totals.
+type Tuned = (TuneOutcome, Vec<u64>);
+
+fn warm_fit_pretrained(seed: u64) -> Pretrained {
+    let cluster = SimCluster::flink_defaults(seed);
+    let records = HistoryGenerator::new(seed)
+        .with_jobs(12)
+        .with_runs_per_job(2)
+        .generate(&cluster);
+    Pretrainer::new(PretrainConfig::fast()).run(&records)
+}
+
+/// Every named workload at multipliers 1, 5.5 and 10, each with its own
+/// backend seed.
+fn every_workload_spec() -> Vec<JobSpec> {
+    let mut specs = Vec::new();
+    for (w, workload) in named_workloads(Engine::Flink).iter().enumerate() {
+        for (m, multiplier) in [1.0, 5.5, 10.0].into_iter().enumerate() {
+            specs.push(JobSpec {
+                name: format!("{}@{multiplier}", workload.name),
+                query: workload.name.clone(),
+                multiplier,
+                seed: 1000 + 3 * w as u64 + m as u64,
+                engine: Engine::Flink,
+                backend: BackendSpec::Sim,
+            });
+        }
+    }
+    specs
+}
+
+/// A plain `StreamTune::new` tune of `spec` — no shared fit — on the
+/// spec's own simulated cluster.
+fn reference_tune(pre: &Pretrained, spec: &JobSpec) -> Tuned {
+    let flow = find_workload(&spec.query, spec.engine)
+        .expect("named workload")
+        .at(spec.multiplier);
+    let mut sim = SimCluster::flink_defaults(spec.seed);
+    let mut session = TuningSession::new(&mut sim, &flow);
+    let outcome = StreamTune::new(pre, TuneConfig::default())
+        .tune(&mut session)
+        .expect("reference tune succeeds");
+    let trace = session.parallelism_trace();
+    (outcome, trace[..trace.len() - 1].to_vec())
+}
+
+/// What `mgr` recorded for finished job `name`.
+fn drained(mgr: &JobManager, name: &str) -> Tuned {
+    let outcome = match &mgr.job(name).expect("admitted").state {
+        JobState::Done(result) => result.outcome.clone(),
+        other => panic!("job {name} did not finish: {other:?}"),
+    };
+    let decision = mgr.decision_for(name).expect("decision recorded");
+    assert_eq!(decision.iterations, outcome.iterations, "{name}");
+    assert_eq!(
+        decision.degrees,
+        outcome.final_assignment.as_slice(),
+        "{name}"
+    );
+    (outcome, decision.rejected.clone())
+}
+
+#[test]
+fn shared_warm_fits_drain_bit_identical_to_fresh_tunes() {
+    let pre = warm_fit_pretrained(53);
+    let specs = every_workload_spec();
+    let reference: Vec<Tuned> = specs.iter().map(|s| reference_tune(&pre, s)).collect();
+    // Fixed(4) races several jobs of one cluster on the same lazy fit.
+    for par in [Parallelism::Serial, Parallelism::Fixed(4)] {
+        let mut mgr = JobManager::new(pre.clone(), par);
+        for spec in &specs {
+            mgr.submit(spec.clone()).expect("submit");
+        }
+        assert_eq!(
+            mgr.warm_fits().filled(),
+            0,
+            "fits fill lazily, not at admission"
+        );
+        mgr.drain();
+        assert!(
+            mgr.warm_fits().filled() > 0,
+            "the drain used the shared fits"
+        );
+        for (spec, expected) in specs.iter().zip(&reference) {
+            assert_eq!(
+                &drained(&mgr, &spec.name),
+                expected,
+                "{} on {par:?}",
+                spec.name
+            );
+        }
+    }
+}
+
+#[test]
+fn resubmit_after_swap_pretrained_matches_a_fresh_manager() {
+    let old = warm_fit_pretrained(59);
+    let new = warm_fit_pretrained(67);
+    let specs: Vec<JobSpec> = every_workload_spec().into_iter().step_by(7).collect();
+    let mut mgr = JobManager::new(old, Parallelism::Serial);
+    for spec in &specs {
+        mgr.submit(spec.clone()).expect("submit");
+    }
+    mgr.drain();
+    mgr.swap_pretrained(new.clone());
+    assert_eq!(
+        mgr.warm_fits().filled(),
+        0,
+        "a new model starts with no fits"
+    );
+    for spec in &specs {
+        mgr.resubmit(spec.clone()).expect("resubmit");
+    }
+    mgr.drain();
+
+    let mut fresh = JobManager::new(new, Parallelism::Serial);
+    for spec in &specs {
+        fresh.submit(spec.clone()).expect("submit");
+    }
+    fresh.drain();
+    for spec in &specs {
+        assert_eq!(
+            drained(&mgr, &spec.name),
+            drained(&fresh, &spec.name),
+            "{}",
+            spec.name
+        );
+    }
+}

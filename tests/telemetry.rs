@@ -325,6 +325,7 @@ fn metrics_verb_and_prometheus_exposition_cover_the_core_series() {
         "streamtune_pretrain_phase_duration_nanoseconds",
         "streamtune_ged_cache_hits_total",
         "streamtune_ged_cache_misses_total",
+        "streamtune_warm_fit_total",
     ] {
         assert!(text.contains(series), "exposition must carry {series}");
     }
