@@ -107,6 +107,46 @@ pub struct FaultPhase {
 /// Maximum phase windows one plan can carry (keeps [`FaultPlan`] `Copy`).
 pub const MAX_FAULT_PHASES: usize = 4;
 
+/// A plan's epoch windows, held inline so [`FaultPlan`] stays `Copy`. On
+/// the wire it is the list of present phases, in order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultPhases([Option<FaultPhase>; MAX_FAULT_PHASES]);
+
+impl FaultPhases {
+    /// The present phases, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &FaultPhase> {
+        self.0.iter().flatten()
+    }
+
+    /// Whether no phase window is set.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl Serialize for FaultPhases {
+    fn serialize(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+}
+
+impl Deserialize for FaultPhases {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let list = Vec::<FaultPhase>::deserialize(v)?;
+        if list.len() > MAX_FAULT_PHASES {
+            return Err(serde::Error::custom(format!(
+                "fault plan carries {} phases; at most {MAX_FAULT_PHASES} supported",
+                list.len()
+            )));
+        }
+        let mut phases = FaultPhases::default();
+        for (slot, phase) in phases.0.iter_mut().zip(list) {
+            *slot = Some(phase);
+        }
+        Ok(phases)
+    }
+}
+
 /// A seeded, fully deterministic fault schedule.
 ///
 /// Rates are per-decision probabilities; `max_burst` caps *consecutive*
@@ -114,8 +154,9 @@ pub const MAX_FAULT_PHASES: usize = 4;
 /// always reaches a clean call. Up to [`MAX_FAULT_PHASES`] epoch windows
 /// ([`FaultPlan::with_phase`]) override the base rates while the deploy
 /// epoch is inside them. Plans serialize, so a failure scenario can ride
-/// in a job spec or a test fixture.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// in a job spec or a test fixture; plans without phase windows carry no
+/// `phases` key (as plans written before windows existed).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed of every fault stream.
     pub seed: u64,
@@ -132,66 +173,8 @@ pub struct FaultPlan {
     /// Panic mid-deploy at this epoch, if set (crash injection).
     pub crash_epoch: Option<u64>,
     /// Epoch windows overriding the base rates (first match wins).
-    pub phases: [Option<FaultPhase>; MAX_FAULT_PHASES],
-}
-
-// Hand-written so `phases` stays optional on the wire: plans serialized
-// before phase windows existed (and plans without any) carry no `phases`
-// key and still deserialize. The vendored serde derive has no
-// `#[serde(default)]`.
-impl Serialize for FaultPlan {
-    fn serialize(&self) -> Value {
-        let mut obj: Vec<(String, Value)> = vec![
-            ("seed".to_string(), self.seed.serialize()),
-            ("io_rate".to_string(), self.io_rate.serialize()),
-            (
-                "deploy_fail_rate".to_string(),
-                self.deploy_fail_rate.serialize(),
-            ),
-            ("nan_rate".to_string(), self.nan_rate.serialize()),
-            ("stale_rate".to_string(), self.stale_rate.serialize()),
-            ("max_burst".to_string(), self.max_burst.serialize()),
-            ("crash_epoch".to_string(), self.crash_epoch.serialize()),
-        ];
-        let phases: Vec<Value> = self
-            .phases
-            .iter()
-            .flatten()
-            .map(|p| p.serialize())
-            .collect();
-        if !phases.is_empty() {
-            obj.push(("phases".to_string(), Value::Array(phases)));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let mut plan = FaultPlan {
-            seed: Deserialize::deserialize(v.field("seed")?)?,
-            io_rate: Deserialize::deserialize(v.field("io_rate")?)?,
-            deploy_fail_rate: Deserialize::deserialize(v.field("deploy_fail_rate")?)?,
-            nan_rate: Deserialize::deserialize(v.field("nan_rate")?)?,
-            stale_rate: Deserialize::deserialize(v.field("stale_rate")?)?,
-            max_burst: Deserialize::deserialize(v.field("max_burst")?)?,
-            crash_epoch: Deserialize::deserialize(v.field("crash_epoch")?)?,
-            phases: [None; MAX_FAULT_PHASES],
-        };
-        if let Ok(raw) = v.field("phases") {
-            let list: Vec<FaultPhase> = Deserialize::deserialize(raw)?;
-            if list.len() > MAX_FAULT_PHASES {
-                return Err(serde::Error::custom(format!(
-                    "fault plan carries {} phases; at most {MAX_FAULT_PHASES} supported",
-                    list.len()
-                )));
-            }
-            for (slot, phase) in plan.phases.iter_mut().zip(list) {
-                *slot = Some(phase);
-            }
-        }
-        Ok(plan)
-    }
+    #[serde(default, skip_serializing_if = "FaultPhases::is_empty")]
+    pub phases: FaultPhases,
 }
 
 impl FaultPlan {
@@ -205,7 +188,7 @@ impl FaultPlan {
             stale_rate: 0.0,
             max_burst: 2,
             crash_epoch: None,
-            phases: [None; MAX_FAULT_PHASES],
+            phases: FaultPhases::default(),
         }
     }
 
@@ -257,6 +240,7 @@ impl FaultPlan {
         );
         let slot = self
             .phases
+            .0
             .iter_mut()
             .find(|slot| slot.is_none())
             .unwrap_or_else(|| panic!("a fault plan holds at most {MAX_FAULT_PHASES} phases"));
@@ -271,7 +255,7 @@ impl FaultPlan {
     /// The rates in force at `epoch`: the first phase window containing
     /// it, or the plan's base rates.
     pub fn rates_at(&self, epoch: u64) -> FaultRates {
-        for phase in self.phases.iter().flatten() {
+        for phase in self.phases.iter() {
             if epoch >= phase.start_epoch && epoch < phase.end_epoch {
                 return phase.faults;
             }
@@ -288,11 +272,7 @@ impl FaultPlan {
     pub fn transient_only(&self) -> bool {
         self.stale_rate == 0.0
             && self.crash_epoch.is_none()
-            && self
-                .phases
-                .iter()
-                .flatten()
-                .all(|p| p.faults.stale_rate == 0.0)
+            && self.phases.iter().all(|p| p.faults.stale_rate == 0.0)
     }
 }
 

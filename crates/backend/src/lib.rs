@@ -38,7 +38,9 @@ pub mod retry;
 pub mod session;
 pub mod trace;
 
-pub use chaos::{ChaosBackend, FaultCounters, FaultPhase, FaultPlan, FaultRates, MAX_FAULT_PHASES};
+pub use chaos::{
+    ChaosBackend, FaultCounters, FaultPhase, FaultPhases, FaultPlan, FaultRates, MAX_FAULT_PHASES,
+};
 pub use error::{BackendError, FaultClass, TuneError};
 pub use observation::{
     EngineMode, Observation, OpObservation, SimulationReport, BACKPRESSURE_VISIBILITY,

@@ -88,7 +88,9 @@ use streamtune_connect::{ingest_file, FlinkBackend, IngestConfig};
 use streamtune_core::{
     Parallelism, PretrainConfig, Pretrained, Pretrainer, StreamTune, TuneConfig,
 };
-use streamtune_serve::{ModelStore, Request, Response, Server, ServerConfig, TcpConfig};
+use streamtune_serve::{
+    DriftReport, ModelStore, Request, Response, Server, ServerConfig, TcpConfig,
+};
 use streamtune_sim::SimCluster;
 use streamtune_workloads::history::HistoryGenerator;
 use streamtune_workloads::named_workloads;
@@ -825,7 +827,8 @@ fn cmd_monitor(args: &Args) -> Result<(), CliError> {
     for event in &report.events {
         println!("  {} [{}] {}", event.job, event.kind, event.detail);
     }
-    if let Response::Drift { watches, alarms } = expect_ok(server.handle(&Request::DriftStatus).0)?
+    if let Response::Drift(DriftReport { watches, alarms }) =
+        expect_ok(server.handle(&Request::DriftStatus).0)?
     {
         for l in watches {
             println!(

@@ -12,7 +12,7 @@
 use crate::label::{bottleneck_labels, LabelConfig};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use streamtune_cluster::{cluster_dags_cached, nearest_center, ClusterConfig};
+use streamtune_cluster::{cluster_dags_cached, ClusterConfig};
 use streamtune_dataflow::{Dataflow, FeatureEncoder, GraphSignature};
 use streamtune_ged::{ged_with, parallel_map, Bound, GedCache, GraphView, Parallelism, StructId};
 use streamtune_model::TrainPoint;
@@ -122,15 +122,20 @@ pub struct Pretrained {
 }
 
 impl Pretrained {
-    /// Algorithm 2 line 1–2: assign a target DAG to its nearest cluster and
-    /// return that cluster's model. Returns `(cluster index, model)`.
+    /// Algorithm 2 line 1–2: assign a target DAG to its nearest cluster —
+    /// the argmin of [`Self::center_distances`], ties going to the lower
+    /// index — and return that cluster's model. Returns `(cluster index,
+    /// model)`.
     pub fn assign(&self, flow: &Dataflow) -> (usize, &ClusterModel) {
         if self.clusters.len() == 1 {
             return (0, &self.clusters[0]);
         }
-        let view = GraphView::of(flow);
-        let centers: Vec<GraphView> = self.clusters.iter().map(|c| c.center.clone()).collect();
-        let (idx, _) = nearest_center(&view, &centers, self.ged_cap);
+        let (idx, _) = self
+            .center_distances(flow)
+            .into_iter()
+            .enumerate()
+            .min_by_key(|&(c, d)| (d, c))
+            .expect("a model has at least one cluster");
         (idx, &self.clusters[idx])
     }
 

@@ -114,8 +114,10 @@ fn boxed_retry(retry: RetryStats) -> Option<Box<RetryStats>> {
 
 /// A job as persisted in the store's ledger (`jobs.json`). Queued jobs
 /// never appear: a snapshot drains first, so every persisted state is
-/// terminal.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// terminal. Ledgers written before re-tunes (no `retunes`) or before the
+/// fault-tolerance layer (no `retry`) still restore, with zero values — a
+/// daemon upgrade must never strand an operator's store.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The submitted spec.
     pub spec: JobSpec,
@@ -124,31 +126,11 @@ pub struct PersistedJob {
     /// Terminal state.
     pub state: JobState,
     /// Automatic re-tunes applied over the job's lifetime.
+    #[serde(default)]
     pub retunes: u32,
     /// Accumulated retry counters over the job's lifetime.
+    #[serde(default)]
     pub retry: RetryStats,
-}
-
-// Hand-written so ledgers written before re-tunes (no `retunes` field) or
-// before the fault-tolerance layer (no `retry` field) still restore — a
-// daemon upgrade must never strand an operator's store. Missing fields
-// default to their zero values.
-impl serde::Deserialize for PersistedJob {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(PersistedJob {
-            spec: JobSpec::deserialize(v.field("spec")?)?,
-            cluster: usize::deserialize(v.field("cluster")?)?,
-            state: JobState::deserialize(v.field("state")?)?,
-            retunes: match v.field("retunes") {
-                Ok(f) => u32::deserialize(f)?,
-                Err(_) => 0,
-            },
-            retry: match v.field("retry") {
-                Ok(f) => RetryStats::deserialize(f)?,
-                Err(_) => RetryStats::default(),
-            },
-        })
-    }
 }
 
 /// What one run of a job produced: its new terminal state, what the

@@ -167,9 +167,9 @@ pub use journal::{
     create_journal, journal_file_name, load_journal, JournaledBackend, LoadedJournal,
 };
 pub use protocol::{
-    parse_request, render_response, AlarmLine, BackendSpec, DriftEventLine, HealthReport,
-    JobHealthLine, JobSpec, JobStatusLine, Recommendation, Request, Response, StatusReport,
-    TickReport,
+    parse_request, render_response, AlarmLine, BackendSpec, DriftEventLine, DriftReport,
+    HealthReport, JobHealthLine, JobSpec, JobStatusLine, Recommendation, Request, Response,
+    StatusReport, TickReport,
 };
 pub use server::{
     BootstrapReport, HealthCounters, Server, ServerConfig, SloPolicy, TcpConfig, TcpCounters,

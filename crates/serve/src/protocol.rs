@@ -4,9 +4,12 @@
 //! or a TCP connection, the framing is identical. Each reply goes out as
 //! one `write_all` (line and newline together), on a `TCP_NODELAY` socket
 //! for TCP sessions, so no part of it waits on the client's delayed ACK.
-//! Verbs are lowercase on the wire (the `Serialize`/`Deserialize` impls
-//! are written by hand so the protocol, not Rust naming, owns the
-//! encoding):
+//! Verbs are lowercase on the wire. Every codec here is derived: the
+//! `#[serde(...)]` attributes (`rename_all = "snake_case"`, `rename`,
+//! `default`, `skip_serializing_if`) spell the protocol's names, so the
+//! wire form is read off the type definitions below. A bare verb and its
+//! tagged form with an empty payload are one request when every payload
+//! field is optional (`"trace"` ≡ `{"trace": {}}`):
 //!
 //! | request | wire form |
 //! |---|---|
@@ -65,7 +68,8 @@ use crate::store::StoreStats;
 // `Chaos` boxes its `FaultPlan`: the plan carries its phase windows
 // inline, and every admitted job keeps a spec, so an inline plan would
 // size every `sim` job's spec for the rare chaos one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum BackendSpec {
     /// The deterministic simulated cluster (seeded per job).
     Sim,
@@ -82,44 +86,6 @@ pub enum BackendSpec {
     /// recommendation is the recorded assignment — and a `watch` replays
     /// the dump's windows through the drift monitor.
     Ingest(String),
-}
-
-impl Serialize for BackendSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            BackendSpec::Sim => Value::String("sim".to_string()),
-            BackendSpec::Replay(path) => {
-                Value::Object(vec![("replay".to_string(), Value::String(path.clone()))])
-            }
-            BackendSpec::Chaos(plan) => {
-                Value::Object(vec![("chaos".to_string(), plan.serialize())])
-            }
-            BackendSpec::Flink(url) => {
-                Value::Object(vec![("flink".to_string(), Value::String(url.clone()))])
-            }
-            BackendSpec::Ingest(path) => {
-                Value::Object(vec![("ingest".to_string(), Value::String(path.clone()))])
-            }
-        }
-    }
-}
-
-impl Deserialize for BackendSpec {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let (name, payload) = v.variant()?;
-        match (name, payload) {
-            ("sim", None) => Ok(BackendSpec::Sim),
-            ("replay", Some(p)) => Ok(BackendSpec::Replay(String::deserialize(p)?)),
-            ("chaos", Some(p)) => Ok(BackendSpec::Chaos(Box::new(FaultPlan::deserialize(p)?))),
-            ("flink", Some(p)) => Ok(BackendSpec::Flink(String::deserialize(p)?)),
-            ("ingest", Some(p)) => Ok(BackendSpec::Ingest(String::deserialize(p)?)),
-            _ => Err(Error::custom(format!(
-                "backend must be \"sim\", {{\"replay\": \"<trace.json>\"}}, \
-                 {{\"chaos\": {{<fault plan>}}}}, {{\"flink\": \"<url>\"}} or \
-                 {{\"ingest\": \"<dump.jsonl>\"}}, got `{name}`"
-            ))),
-        }
-    }
 }
 
 /// Everything needed to admit and run one named tuning job.
@@ -139,17 +105,9 @@ pub struct JobSpec {
     pub backend: BackendSpec,
 }
 
-/// The payload a tagged verb must carry, or a descriptive error.
-fn need_payload<'a>(
-    kind: &str,
-    verb: &str,
-    payload: Option<&'a Value>,
-) -> Result<&'a Value, Error> {
-    payload.ok_or_else(|| Error::custom(format!("{kind} `{verb}` expects a payload")))
-}
-
 /// One protocol request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Request {
     /// Admit a new named job.
     Submit(JobSpec),
@@ -171,6 +129,7 @@ pub enum Request {
         job: String,
         /// Environment rate script: one multiplier per monitor tick, the
         /// last entry holding; `None` keeps the submitted rate.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         schedule: Option<Vec<f64>>,
     },
     /// Stop monitoring a job.
@@ -202,6 +161,7 @@ pub enum Request {
     /// (a wire verb such as `"recommend"`).
     Trace {
         /// Root-span label filter; `None` returns the newest trace.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         label: Option<String>,
     },
     /// Report one finished job's decision audit record: the model inputs,
@@ -217,107 +177,6 @@ pub enum Request {
     MetricsHistory,
     /// Stop the server after responding.
     Shutdown,
-}
-
-impl Serialize for Request {
-    fn serialize(&self) -> Value {
-        let tagged = |verb: &str, payload: Value| Value::Object(vec![(verb.to_string(), payload)]);
-        let job_ref =
-            |job: &String| Value::Object(vec![("job".to_string(), Value::String(job.clone()))]);
-        match self {
-            Request::Submit(spec) => tagged("submit", spec.serialize()),
-            Request::Status => Value::String("status".to_string()),
-            Request::Recommend { job } => tagged("recommend", job_ref(job)),
-            Request::Cancel { job } => tagged("cancel", job_ref(job)),
-            Request::Watch { job, schedule } => {
-                let mut fields = vec![("job".to_string(), Value::String(job.clone()))];
-                if let Some(s) = schedule {
-                    fields.push(("schedule".to_string(), s.serialize()));
-                }
-                tagged("watch", Value::Object(fields))
-            }
-            Request::Unwatch { job } => tagged("unwatch", job_ref(job)),
-            Request::DriftStatus => Value::String("drift_status".to_string()),
-            Request::Health => Value::String("health".to_string()),
-            Request::Metrics => Value::String("metrics".to_string()),
-            Request::Tick { steps } => tagged(
-                "tick",
-                Value::Object(vec![("steps".to_string(), Value::U64(*steps))]),
-            ),
-            Request::Snapshot => Value::String("snapshot".to_string()),
-            Request::Drain => Value::String("drain".to_string()),
-            Request::Trace { label } => match label {
-                None => Value::String("trace".to_string()),
-                Some(l) => tagged(
-                    "trace",
-                    Value::Object(vec![("label".to_string(), Value::String(l.clone()))]),
-                ),
-            },
-            Request::Explain { job } => tagged("explain", job_ref(job)),
-            Request::MetricsHistory => Value::String("metrics_history".to_string()),
-            Request::Shutdown => Value::String("shutdown".to_string()),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let (verb, payload) = v.variant()?;
-        let need = |payload| need_payload("verb", verb, payload);
-        let job_of = |payload: &Value| String::deserialize(payload.field("job")?);
-        match verb {
-            "submit" => Ok(Request::Submit(JobSpec::deserialize(need(payload)?)?)),
-            "status" => Ok(Request::Status),
-            "recommend" => Ok(Request::Recommend {
-                job: job_of(need(payload)?)?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                job: job_of(need(payload)?)?,
-            }),
-            "watch" => {
-                let p = need(payload)?;
-                let schedule = match p.field("schedule") {
-                    Ok(v) => Some(Vec::<f64>::deserialize(v)?),
-                    Err(_) => None,
-                };
-                Ok(Request::Watch {
-                    job: job_of(p)?,
-                    schedule,
-                })
-            }
-            "unwatch" => Ok(Request::Unwatch {
-                job: job_of(need(payload)?)?,
-            }),
-            "drift_status" => Ok(Request::DriftStatus),
-            "health" => Ok(Request::Health),
-            "metrics" => Ok(Request::Metrics),
-            "tick" => Ok(Request::Tick {
-                steps: u64::deserialize(need(payload)?.field("steps")?)?,
-            }),
-            "snapshot" => Ok(Request::Snapshot),
-            "drain" => Ok(Request::Drain),
-            "trace" => {
-                let label = match payload {
-                    Some(p) => match p.field("label") {
-                        Ok(v) => Some(String::deserialize(v)?),
-                        Err(_) => None,
-                    },
-                    None => None,
-                };
-                Ok(Request::Trace { label })
-            }
-            "explain" => Ok(Request::Explain {
-                job: job_of(need(payload)?)?,
-            }),
-            "metrics_history" => Ok(Request::MetricsHistory),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(Error::custom(format!(
-                "unknown verb `{other}` (want submit/status/recommend/cancel/watch/unwatch/\
-                 drift_status/health/metrics/tick/snapshot/drain/trace/explain/\
-                 metrics_history/shutdown)"
-            ))),
-        }
-    }
 }
 
 impl Request {
@@ -433,15 +292,21 @@ pub struct AlarmLine {
 /// The payload of a `health` response: the daemon's fault-tolerance
 /// ledger. Everything here is *observability only* — none of it feeds
 /// back into tuning decisions, so reading it never perturbs outcomes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Fields marked `default` arrived after the first release: `health`
+/// payloads from older daemons (a newer `streamtune client` against an
+/// older daemon) read them as zero or empty.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// Daemon crate version (`CARGO_PKG_VERSION` at build time).
+    #[serde(default)]
     pub version: String,
     /// Whole seconds since the daemon's telemetry clock started.
+    #[serde(default)]
     pub uptime_seconds: u64,
     /// Configured worker-pool parallelism (`"auto"`, `"serial"` or a
     /// fixed width) — the knob that never changes answers, only wall
     /// clock.
+    #[serde(default)]
     pub parallelism: String,
     /// One line per admitted job, in admission order.
     pub jobs: Vec<JobHealthLine>,
@@ -459,51 +324,18 @@ pub struct HealthReport {
     /// responses instead of killing the connection or daemon.
     pub handler_panics: u64,
     /// TCP sessions shed by admission control (session cap reached).
+    #[serde(default)]
     pub sessions_shed: u64,
     /// Requests shed because the per-request deadline expired while the
     /// server was busy.
+    #[serde(default)]
     pub deadlines_expired: u64,
     /// Request lines refused for exceeding the line-size cap.
+    #[serde(default)]
     pub oversized_lines: u64,
     /// SLO alarms currently raised, in policy order.
+    #[serde(default)]
     pub alarms: Vec<AlarmLine>,
-}
-
-// Hand-written so `health` payloads from daemons that predate admission
-// control and SLO alarms still parse (a newer `streamtune client` against
-// an older daemon): the counters default to zero, the alarm list to empty.
-impl Deserialize for HealthReport {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let u64_or_zero = |name: &str| match v.field(name) {
-            Ok(f) => u64::deserialize(f),
-            Err(_) => Ok(0),
-        };
-        Ok(HealthReport {
-            version: match v.field("version") {
-                Ok(f) => String::deserialize(f)?,
-                Err(_) => String::new(),
-            },
-            uptime_seconds: u64_or_zero("uptime_seconds")?,
-            parallelism: match v.field("parallelism") {
-                Ok(f) => String::deserialize(f)?,
-                Err(_) => String::new(),
-            },
-            jobs: Vec::deserialize(v.field("jobs")?)?,
-            watched: u64::deserialize(v.field("watched")?)?,
-            degraded_watches: u64::deserialize(v.field("degraded_watches")?)?,
-            poll_failures: u64::deserialize(v.field("poll_failures")?)?,
-            store_recoveries: u64::deserialize(v.field("store_recoveries")?)?,
-            lock_recoveries: u64::deserialize(v.field("lock_recoveries")?)?,
-            handler_panics: u64::deserialize(v.field("handler_panics")?)?,
-            sessions_shed: u64_or_zero("sessions_shed")?,
-            deadlines_expired: u64_or_zero("deadlines_expired")?,
-            oversized_lines: u64_or_zero("oversized_lines")?,
-            alarms: match v.field("alarms") {
-                Ok(f) => Vec::deserialize(f)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
 }
 
 /// The payload of a `recommendation` response.
@@ -533,8 +365,35 @@ pub struct Recommendation {
     pub converged: bool,
 }
 
+/// The payload of a `drift` response.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct DriftReport {
+    /// One line per watched job.
+    pub watches: Vec<DriftStatusLine>,
+    /// SLO alarms currently raised.
+    pub alarms: Vec<AlarmLine>,
+}
+
+// Hand-written for one legacy shape: daemons that predate SLO alarms sent
+// `drift` as a bare array of watch lines.
+impl Deserialize for DriftReport {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        if let Value::Array(_) = v {
+            return Ok(DriftReport {
+                watches: Vec::deserialize(v)?,
+                alarms: Vec::new(),
+            });
+        }
+        Ok(DriftReport {
+            watches: Vec::deserialize(v.field("watches")?)?,
+            alarms: Vec::deserialize(v.field("alarms")?)?,
+        })
+    }
+}
+
 /// One protocol response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Response {
     /// A job was admitted.
     Submitted {
@@ -566,12 +425,7 @@ pub enum Response {
         job: String,
     },
     /// Drift classification of every watched job, plus raised SLO alarms.
-    Drift {
-        /// One line per watched job.
-        watches: Vec<DriftStatusLine>,
-        /// SLO alarms currently raised.
-        alarms: Vec<AlarmLine>,
-    },
+    Drift(DriftReport),
     /// The daemon's fault-tolerance ledger.
     Health(HealthReport),
     /// The telemetry registry as a JSON object (see the `metrics` verb).
@@ -611,162 +465,13 @@ pub enum Response {
         reason: String,
     },
     /// The server acknowledges shutdown.
+    #[serde(rename = "shutting-down")]
     ShuttingDown,
     /// The request could not be served.
     Error {
         /// Why.
         message: String,
     },
-}
-
-impl Serialize for Response {
-    fn serialize(&self) -> Value {
-        let tagged = |verb: &str, payload: Value| Value::Object(vec![(verb.to_string(), payload)]);
-        match self {
-            Response::Submitted { job, cluster } => tagged(
-                "submitted",
-                Value::Object(vec![
-                    ("job".to_string(), Value::String(job.clone())),
-                    ("cluster".to_string(), Value::U64(*cluster as u64)),
-                ]),
-            ),
-            Response::Status(report) => tagged("status", report.serialize()),
-            Response::Recommendation(r) => tagged("recommendation", r.serialize()),
-            Response::Cancelled { job } => tagged(
-                "cancelled",
-                Value::Object(vec![("job".to_string(), Value::String(job.clone()))]),
-            ),
-            Response::Watching { job, covered } => tagged(
-                "watching",
-                Value::Object(vec![
-                    ("job".to_string(), Value::String(job.clone())),
-                    ("covered".to_string(), Value::Bool(*covered)),
-                ]),
-            ),
-            Response::Unwatched { job } => tagged(
-                "unwatched",
-                Value::Object(vec![("job".to_string(), Value::String(job.clone()))]),
-            ),
-            Response::Drift { watches, alarms } => tagged(
-                "drift",
-                Value::Object(vec![
-                    ("watches".to_string(), watches.serialize()),
-                    ("alarms".to_string(), alarms.serialize()),
-                ]),
-            ),
-            Response::Health(report) => tagged("health", report.serialize()),
-            Response::Metrics(value) => tagged("metrics", value.clone()),
-            Response::Ticked(report) => tagged("ticked", report.serialize()),
-            Response::Snapshotted { dir } => tagged(
-                "snapshotted",
-                Value::Object(vec![("dir".to_string(), Value::String(dir.clone()))]),
-            ),
-            Response::Draining { jobs, dir } => tagged(
-                "draining",
-                Value::Object(vec![
-                    ("jobs".to_string(), Value::U64(*jobs)),
-                    ("dir".to_string(), dir.serialize()),
-                ]),
-            ),
-            Response::Trace(value) => tagged("trace", value.clone()),
-            Response::Explained(value) => tagged("explained", value.clone()),
-            Response::MetricsHistory(value) => tagged("metrics_history", value.clone()),
-            Response::Overloaded {
-                retry_after_ms,
-                reason,
-            } => tagged(
-                "overloaded",
-                Value::Object(vec![
-                    ("retry_after_ms".to_string(), Value::U64(*retry_after_ms)),
-                    ("reason".to_string(), Value::String(reason.clone())),
-                ]),
-            ),
-            Response::ShuttingDown => Value::String("shutting-down".to_string()),
-            Response::Error { message } => tagged(
-                "error",
-                Value::Object(vec![(
-                    "message".to_string(),
-                    Value::String(message.clone()),
-                )]),
-            ),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let (verb, payload) = v.variant()?;
-        let need = |payload| need_payload("response", verb, payload);
-        match verb {
-            "submitted" => {
-                let p = need(payload)?;
-                Ok(Response::Submitted {
-                    job: String::deserialize(p.field("job")?)?,
-                    cluster: usize::deserialize(p.field("cluster")?)?,
-                })
-            }
-            "status" => Ok(Response::Status(StatusReport::deserialize(need(payload)?)?)),
-            "recommendation" => Ok(Response::Recommendation(Recommendation::deserialize(
-                need(payload)?,
-            )?)),
-            "cancelled" => Ok(Response::Cancelled {
-                job: String::deserialize(need(payload)?.field("job")?)?,
-            }),
-            "watching" => {
-                let p = need(payload)?;
-                Ok(Response::Watching {
-                    job: String::deserialize(p.field("job")?)?,
-                    covered: bool::deserialize(p.field("covered")?)?,
-                })
-            }
-            "unwatched" => Ok(Response::Unwatched {
-                job: String::deserialize(need(payload)?.field("job")?)?,
-            }),
-            "drift" => {
-                let p = need(payload)?;
-                // Daemons that predate SLO alarms sent a bare array of
-                // watch lines; accept both shapes.
-                if matches!(p, Value::Array(_)) {
-                    return Ok(Response::Drift {
-                        watches: Vec::deserialize(p)?,
-                        alarms: Vec::new(),
-                    });
-                }
-                Ok(Response::Drift {
-                    watches: Vec::deserialize(p.field("watches")?)?,
-                    alarms: Vec::deserialize(p.field("alarms")?)?,
-                })
-            }
-            "health" => Ok(Response::Health(HealthReport::deserialize(need(payload)?)?)),
-            "metrics" => Ok(Response::Metrics(need(payload)?.clone())),
-            "ticked" => Ok(Response::Ticked(TickReport::deserialize(need(payload)?)?)),
-            "snapshotted" => Ok(Response::Snapshotted {
-                dir: String::deserialize(need(payload)?.field("dir")?)?,
-            }),
-            "draining" => {
-                let p = need(payload)?;
-                Ok(Response::Draining {
-                    jobs: u64::deserialize(p.field("jobs")?)?,
-                    dir: Option::deserialize(p.field("dir")?)?,
-                })
-            }
-            "trace" => Ok(Response::Trace(need(payload)?.clone())),
-            "explained" => Ok(Response::Explained(need(payload)?.clone())),
-            "metrics_history" => Ok(Response::MetricsHistory(need(payload)?.clone())),
-            "overloaded" => {
-                let p = need(payload)?;
-                Ok(Response::Overloaded {
-                    retry_after_ms: u64::deserialize(p.field("retry_after_ms")?)?,
-                    reason: String::deserialize(p.field("reason")?)?,
-                })
-            }
-            "shutting-down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                message: String::deserialize(need(payload)?.field("message")?)?,
-            }),
-            other => Err(Error::custom(format!("unknown response `{other}`"))),
-        }
-    }
 }
 
 /// Parse one request line.
@@ -794,8 +499,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_roundtrip_through_the_wire_format() {
+    /// One request per wire verb, in [`crate::expose::VERBS`] order (a verb
+    /// with several payload shapes appears once per shape).
+    fn roundtrip_requests() -> Vec<Request> {
         let chaos_spec = JobSpec {
             backend: BackendSpec::Chaos(Box::new(FaultPlan::transient(9).with_crash_at(4))),
             ..spec()
@@ -808,7 +514,7 @@ mod tests {
             backend: BackendSpec::Ingest("dumps/metrics.jsonl".to_string()),
             ..spec()
         };
-        let requests = [
+        vec![
             Request::Submit(spec()),
             Request::Submit(chaos_spec),
             Request::Submit(flink_spec),
@@ -846,10 +552,42 @@ mod tests {
             },
             Request::MetricsHistory,
             Request::Shutdown,
-        ];
-        for r in requests {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip_through_the_wire_format() {
+        for r in roundtrip_requests() {
             let line = serde_json::to_string(&r).unwrap();
             assert_eq!(parse_request(&line).unwrap(), r, "{line}");
+        }
+    }
+
+    #[test]
+    fn verb_table_verb_names_and_wire_tags_agree() {
+        use crate::expose::VERBS;
+        // Each verb parses, bare or with its minimal payload, to a request
+        // that names itself by that verb.
+        for verb in VERBS {
+            let line = match verb {
+                "submit" => format!("{{\"submit\":{}}}", serde_json::to_string(&spec()).unwrap()),
+                "recommend" | "cancel" | "watch" | "unwatch" | "explain" => {
+                    format!("{{\"{verb}\":{{\"job\":\"j1\"}}}}")
+                }
+                "tick" => "{\"tick\":{\"steps\":1}}".to_string(),
+                bare => format!("\"{bare}\""),
+            };
+            let request = parse_request(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(request.verb(), verb, "{line}");
+        }
+        // The round-trip list covers every verb once, in table order, and
+        // each request's wire tag is its verb.
+        let mut covered: Vec<&str> = roundtrip_requests().iter().map(Request::verb).collect();
+        covered.dedup();
+        assert_eq!(covered, VERBS);
+        for r in roundtrip_requests() {
+            let value: Value = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+            assert_eq!(value.variant().unwrap().0, r.verb());
         }
     }
 
@@ -1005,7 +743,7 @@ mod tests {
             Response::Unwatched {
                 job: "j".to_string(),
             },
-            Response::Drift {
+            Response::Drift(DriftReport {
                 watches: vec![streamtune_monitor::DriftStatusLine {
                     job: "j".to_string(),
                     class: "rate-drift".to_string(),
@@ -1023,7 +761,7 @@ mod tests {
                     threshold: 1.0,
                     detail: "1 watched job degraded".to_string(),
                 }],
-            },
+            }),
             Response::Health(HealthReport {
                 version: "0.5.0".to_string(),
                 uptime_seconds: 12,
@@ -1109,10 +847,10 @@ mod tests {
         let legacy = "{\"drift\": []}";
         assert_eq!(
             serde_json::from_str::<Response>(legacy).unwrap(),
-            Response::Drift {
+            Response::Drift(DriftReport {
                 watches: Vec::new(),
                 alarms: Vec::new(),
-            }
+            })
         );
         // And `health` without admission-control counters or alarms.
         let legacy = "{\"health\": {\"jobs\": [], \"watched\": 0, \

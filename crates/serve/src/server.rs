@@ -25,8 +25,8 @@
 use crate::error::ServeError;
 use crate::job::{panic_message, JobManager, JobState};
 use crate::protocol::{
-    parse_request, render_response, AlarmLine, BackendSpec, DriftEventLine, HealthReport,
-    JobHealthLine, Recommendation, Request, Response, StatusReport, TickReport,
+    parse_request, render_response, AlarmLine, BackendSpec, DriftEventLine, DriftReport,
+    HealthReport, JobHealthLine, Recommendation, Request, Response, StatusReport, TickReport,
 };
 use crate::store::ModelStore;
 use std::io::{BufRead, BufReader, Write};
@@ -910,10 +910,10 @@ impl Server {
                     message: e.to_string(),
                 },
             },
-            Request::DriftStatus => Response::Drift {
+            Request::DriftStatus => Response::Drift(DriftReport {
                 watches: self.monitor.status(),
                 alarms: self.health_report().alarms,
-            },
+            }),
             Request::Health => Response::Health(self.health_report()),
             Request::Metrics => Response::Metrics(crate::expose::metrics_value()),
             Request::Tick { steps } => {

@@ -3,40 +3,19 @@
 use serde::{Deserialize, Serialize};
 
 /// Which engine's rate units to use (Table II has separate columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Lowercase on the wire, like every protocol token (`"flink"`/`"timely"`,
+/// the CLI's `--engine` spelling); the capitalized legacy spellings still
+/// read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Engine {
     /// Apache Flink column.
+    #[serde(alias = "Flink")]
     Flink,
     /// Timely Dataflow column.
+    #[serde(alias = "Timely")]
     Timely,
-}
-
-// Hand-written serde: the serve protocol (and the CLI's `--engine`
-// flag) spell engines lowercase, so the wire format is "flink"/"timely"
-// rather than the derived Rust variant names. Legacy capitalized
-// spellings are still accepted on read.
-impl Serialize for Engine {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::String(
-            match self {
-                Engine::Flink => "flink",
-                Engine::Timely => "timely",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for Engine {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        match String::deserialize(v)?.as_str() {
-            "flink" | "Flink" => Ok(Engine::Flink),
-            "timely" | "Timely" => Ok(Engine::Timely),
-            other => Err(serde::Error::custom(format!(
-                "engine must be \"flink\" or \"timely\", got `{other}`"
-            ))),
-        }
-    }
 }
 
 /// Table II, Nexmark rows: `Wu` in records/second per source.

@@ -17,7 +17,7 @@
 
 use streamtune::core::Parallelism;
 use streamtune::prelude::*;
-use streamtune::serve::{JobState, Request, ServerConfig};
+use streamtune::serve::{DriftReport, JobState, Request, ServerConfig};
 use streamtune::workloads::history::HistoryGenerator;
 use streamtune::workloads::rates::Engine;
 
@@ -90,7 +90,7 @@ fn main() {
     assert_ne!(result.outcome.final_assignment, degrees_before);
 
     // 6. Drift status: one stable, re-baselined watch.
-    if let streamtune::serve::Response::Drift { watches: lines, .. } =
+    if let streamtune::serve::Response::Drift(DriftReport { watches: lines, .. }) =
         server.handle(&Request::DriftStatus).0
     {
         for l in lines {

@@ -16,7 +16,7 @@ use streamtune::core::Parallelism;
 use streamtune::dataflow::ParallelismAssignment;
 use streamtune::monitor::{DriftEvent, Monitor, MonitorConfig, WatchSpec};
 use streamtune::prelude::*;
-use streamtune::serve::{JobManager, JobResult, JobSpec, JobState, ServerConfig};
+use streamtune::serve::{DriftReport, JobManager, JobResult, JobSpec, JobState, ServerConfig};
 use streamtune::workloads::history::HistoryGenerator;
 use streamtune::workloads::nexmark;
 use streamtune::workloads::rates::Engine;
@@ -283,7 +283,7 @@ fn watched_chaos_job_merges_stream_retries_into_health() {
         Response::Ticked(_)
     ));
     match server.handle(&Request::DriftStatus).0 {
-        Response::Drift { watches: lines, .. } => {
+        Response::Drift(DriftReport { watches: lines, .. }) => {
             assert_eq!(lines.len(), 1);
             assert!(!lines[0].degraded, "absorbed faults must not degrade");
             assert_eq!(lines[0].poll_failures, 0);
@@ -502,7 +502,7 @@ fn epoch_windowed_outage_degrades_raises_the_slo_alarm_then_recovers() {
                 other => panic!("expected health, got {other:?}"),
             };
             match server.handle(&Request::DriftStatus).0 {
-                Response::Drift { alarms, .. } => {
+                Response::Drift(DriftReport { alarms, .. }) => {
                     assert_eq!(
                         alarms.iter().any(|a| a.alarm == "degraded-watches"),
                         degraded >= 1

@@ -9,7 +9,7 @@ use streamtune::core::{Parallelism, PretrainConfig, Pretrainer};
 use streamtune::ged::{Bound, GedCache};
 use streamtune::monitor::{grow_and_pretrain, grow_records};
 use streamtune::prelude::*;
-use streamtune::serve::{JobState, Request, Response, ServerConfig};
+use streamtune::serve::{DriftReport, JobState, Request, Response, ServerConfig};
 use streamtune::workloads::history::{ExecutionRecord, HistoryGenerator};
 use streamtune::workloads::rates::Engine;
 
@@ -105,7 +105,9 @@ fn mid_run_rate_shift_retunes_to_the_manual_resubmit_outcome() {
         "stable after adaptation: {:?}",
         report.events
     );
-    let Response::Drift { watches: lines, .. } = server.handle(&Request::DriftStatus).0 else {
+    let Response::Drift(DriftReport { watches: lines, .. }) =
+        server.handle(&Request::DriftStatus).0
+    else {
         panic!("expected drift status");
     };
     assert_eq!(lines.len(), 1);
@@ -187,7 +189,9 @@ fn unseen_dag_grows_corpus_swaps_model_and_rotates_the_store() {
     // Once grown, the structure is covered: no more structure events.
     let report = server.tick_monitor(5);
     assert!(report.events.is_empty(), "{:?}", report.events);
-    let Response::Drift { watches: lines, .. } = server.handle(&Request::DriftStatus).0 else {
+    let Response::Drift(DriftReport { watches: lines, .. }) =
+        server.handle(&Request::DriftStatus).0
+    else {
         panic!("expected drift status");
     };
     assert_ne!(lines[0].class, "structure-drift");

@@ -237,6 +237,45 @@ fn hostile_clients_do_not_take_the_daemon_down() {
 }
 
 #[test]
+fn deeply_nested_line_is_an_error_and_the_daemon_keeps_serving() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Mutex::new(server());
+
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+
+        // 10,000 open brackets: far under the line cap, far past the
+        // parser's nesting limit. Parsed recursively on the session
+        // thread's default stack, this used to overflow it and abort the
+        // whole daemon.
+        let mut hostile = Client::connect(addr);
+        match hostile.request(&"[".repeat(10_000)) {
+            Response::Error { message } => {
+                assert!(
+                    message.contains("nesting"),
+                    "error names the limit: {message}"
+                )
+            }
+            other => panic!("expected error, got {other:?}"),
+        }
+        drop(hostile);
+
+        // A new connection is still served.
+        let mut fresh = Client::connect(addr);
+        assert!(matches!(fresh.request("\"health\""), Response::Health(_)));
+        assert!(matches!(
+            fresh.request("\"shutdown\""),
+            Response::ShuttingDown
+        ));
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon exits cleanly");
+    });
+}
+
+#[test]
 fn slow_client_does_not_block_others() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");

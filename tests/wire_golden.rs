@@ -19,9 +19,9 @@ use streamtune::dataflow::ParallelismAssignment;
 use streamtune::monitor::DriftStatusLine;
 use streamtune::prelude::*;
 use streamtune::serve::{
-    create_journal, fnv1a64, parse_request, render_response, AlarmLine, DriftEventLine,
-    HealthReport, JobHealthLine, JobState, JobStatusLine, JournaledBackend, PersistedJob,
-    Recommendation, StatusReport, StoreStats, TickReport,
+    create_journal, fnv1a64, load_journal, parse_request, render_response, AlarmLine,
+    DriftEventLine, DriftReport, HealthReport, JobHealthLine, JobState, JobStatusLine,
+    JournaledBackend, PersistedJob, Recommendation, StatusReport, StoreStats, TickReport,
 };
 use streamtune::workloads::history::HistoryGenerator;
 use streamtune::workloads::rates::Engine;
@@ -236,7 +236,7 @@ fn responses() -> Vec<(&'static str, Response)> {
         ("unwatched", Response::Unwatched { job: j() }),
         (
             "drift",
-            Response::Drift {
+            Response::Drift(DriftReport {
                 watches: vec![drift_line()],
                 alarms: vec![alarm(
                     "degraded-watches",
@@ -244,7 +244,7 @@ fn responses() -> Vec<(&'static str, Response)> {
                     1.0,
                     "1 watched job degraded",
                 )],
-            },
+            }),
         ),
         (
             "health",
@@ -613,7 +613,9 @@ fn artifact_hashes(dir: &Path) -> Vec<(&'static str, u64)> {
     store.save_decisions(&decisions).expect("save decisions");
 
     let hash = |path: std::path::PathBuf| {
-        fnv1a64(&std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_well_below_the_nesting_limit(&bytes, &path.display().to_string());
+        fnv1a64(&bytes)
     };
     vec![
         ("model.json", hash(store.model_path())),
@@ -621,6 +623,37 @@ fn artifact_hashes(dir: &Path) -> Vec<(&'static str, u64)> {
         ("jobs.json", hash(store.jobs_path())),
         ("decisions.json", hash(store.decisions_path())),
     ]
+}
+
+/// Deepest array/object nesting of JSON text (brackets inside strings
+/// do not count).
+fn nesting_depth(bytes: &[u8]) -> usize {
+    let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+    for &b in bytes {
+        match (in_string, b) {
+            (true, _) if escaped => escaped = false,
+            (true, b'\\') => escaped = true,
+            (true, b'"') | (false, b'"') => in_string = !in_string,
+            (false, b'[' | b'{') => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            (false, b']' | b'}') => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// Everything this build writes must parse back with room to spare under
+/// the parser's nesting limit.
+fn assert_well_below_the_nesting_limit(bytes: &[u8], what: &str) {
+    let depth = nesting_depth(bytes);
+    assert!(
+        depth <= serde_json::MAX_DEPTH / 8,
+        "{what} nests {depth} levels deep (limit {})",
+        serde_json::MAX_DEPTH
+    );
 }
 
 fn enc<T: serde::Serialize>(value: &T) -> String {
@@ -632,6 +665,7 @@ fn report(dir: &Path) -> String {
     let mut lines = Vec::new();
     let mut push = |kind: &str, name: &str, bytes: String| {
         assert!(!bytes.contains('\n'), "one line per entry: {bytes}");
+        assert_well_below_the_nesting_limit(bytes.as_bytes(), name);
         lines.push(format!("{kind}\t{name}\t{bytes}"));
     };
     for (name, r) in requests() {
@@ -712,5 +746,75 @@ fn wire_and_artifact_bytes_match_the_golden_fixture() {
              want: {want}\n   got: {got}\n(full report written to {})",
             out.display()
         );
+    }
+}
+
+/// The encoded payload of every fixture line (accept inputs included).
+fn golden_payloads() -> Vec<&'static str> {
+    GOLDEN
+        .lines()
+        .filter(|line| !line.starts_with("artifact_"))
+        .filter_map(|line| line.split('\t').nth(2))
+        .collect()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(1000))]
+
+    /// Byte-level mutations of the golden lines — truncation, a flipped
+    /// byte, a splice of another line, deep nesting — never panic or abort
+    /// a decoder of untrusted bytes: each returns `Ok` or `Err`.
+    #[test]
+    fn decoders_never_panic_on_mutated_golden_lines(
+        line in 0usize..1_000,
+        other in 0usize..1_000,
+        op in 0u8..4,
+        at in 0usize..100_000,
+        from in 0usize..100_000,
+        len in 1usize..64,
+        bits in 1u8..255,
+        depth in 100usize..20_000,
+    ) {
+        let payloads = golden_payloads();
+        let base = payloads[line % payloads.len()].as_bytes();
+        let donor = payloads[other % payloads.len()].as_bytes();
+        let at = at % (base.len() + 1);
+        let mut bytes = base.to_vec();
+        match op {
+            0 => bytes.truncate(at),
+            1 => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= bits;
+                }
+            }
+            2 => {
+                let from = from % donor.len();
+                let piece = &donor[from..(from + len).min(donor.len())];
+                bytes.splice(at..at, piece.iter().copied());
+            }
+            _ => {
+                let opener: &[u8] = if bits % 2 == 0 { b"[" } else { b"{\"a\":" };
+                bytes.splice(at..at, opener.repeat(depth));
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse_request(&text);
+        let _ = serde_json::from_str::<Response>(&text);
+        let _ = serde_json::from_str::<PersistedJob>(&text);
+        let _ = serde_json::from_str::<FaultPlan>(&text);
+
+        // The journal reader, with the mutated line as its header and as
+        // its first entry.
+        let path = std::env::temp_dir().join(format!(
+            "streamtune-wire-fuzz-{}.journal",
+            std::process::id()
+        ));
+        let header = payloads.iter().find(|p| p.contains("streamtune-job-journal")).unwrap();
+        for file in [[&bytes[..], b"\n", header.as_bytes()].concat(),
+                     [header.as_bytes(), b"\n", &bytes[..]].concat()] {
+            std::fs::write(&path, file).expect("write scratch journal");
+            let _ = load_journal(&path);
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
