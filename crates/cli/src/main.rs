@@ -9,11 +9,14 @@
 //!   [--backend sim|replay:<trace.json>|flink:<url>|ingest:<dump.jsonl>]
 //!   [--record <trace.json>]`
 //!   — load a bundle and tune a named workload online, printing the
-//!   per-operator recommendation. `--backend replay:<path>` drives the
-//!   tuner from a recorded trace instead of the simulator; `flink:<url>`
-//!   tunes a live job through the Flink REST connector; `ingest:<path>`
-//!   admits the deployment recorded in a JSONL metrics dump; `--record`
-//!   captures the session into a trace file for later replay.
+//!   per-operator recommendation. `--backend` parses into the daemon's
+//!   `BackendSpec` and opens through the same `BackendSpec::open`
+//!   constructor as `serve` jobs: `replay:<path>` drives the tuner from a
+//!   recorded trace instead of the simulator; `flink:<url>` tunes a live
+//!   job through the Flink REST connector; `ingest:<path>` admits the
+//!   deployment recorded in a JSONL metrics dump (nothing is tuned, so
+//!   `--chaos` is refused); `--record` captures a simulator session into a
+//!   trace file for later replay.
 //! * `ingest --input dump.jsonl [--out trace.json] [--window SECS]
 //!   [--sources a,b] [--max-parallelism N] [--engine flink|timely]`
 //!   — stream a JSONL metrics dump into a replayable trace plus a
@@ -75,23 +78,22 @@
 //! flink:<url>`). Fault knobs apply everywhere: `--retry-attempts` /
 //! `--retry-backoff` bound the transient-fault retry loop, and `--chaos
 //! <seed>` injects a deterministic fault storm (on `serve`/`monitor` it
-//! wraps every simulator-backed job, seeded `chaos ^ job seed`).
+//! wraps the tuning run of every `sim` job, seeded `chaos ^ job seed`).
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use streamtune_backend::{
-    ChaosBackend, EngineMode, ExecutionBackend, FaultPlan, ReplayBackend, RetryPolicy, RetryStats,
-    TraceRecorder, TuneOutcome, TuningSession,
+    ChaosBackend, EngineMode, ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceRecorder,
+    TuneOutcome, TuningSession,
 };
 use streamtune_baselines::Tuner;
-use streamtune_connect::{ingest_file, FlinkBackend, IngestConfig};
+use streamtune_connect::{ingest_file, IngestConfig};
 use streamtune_core::{
     Parallelism, PretrainConfig, Pretrained, Pretrainer, StreamTune, TuneConfig,
 };
 use streamtune_serve::{
-    DriftReport, ModelStore, Request, Response, Server, ServerConfig, TcpConfig,
+    BackendSpec, DriftReport, ModelStore, Request, Response, Server, ServerConfig, TcpConfig,
 };
-use streamtune_sim::SimCluster;
 use streamtune_workloads::history::HistoryGenerator;
 use streamtune_workloads::named_workloads;
 use streamtune_workloads::rates::Engine;
@@ -121,14 +123,10 @@ fn cmd_pretrain(args: &Args) -> Result<(), CliError> {
     let seed: u64 = args.parse_or("seed", 42)?;
     let jobs: usize = args.parse_or("jobs", 60)?;
     let engine = args.engine()?;
-    let cluster = match engine {
-        Engine::Flink => SimCluster::flink_defaults(seed),
-        Engine::Timely => SimCluster::timely_defaults(seed),
-    };
     eprintln!("generating {jobs}-job corpus (seed {seed})…");
     let mut gen = HistoryGenerator::new(seed).with_jobs(jobs);
     gen.engine = engine;
-    let corpus = gen.generate(&cluster);
+    let corpus = gen.generate(&engine.sim_cluster(seed));
     eprintln!("pre-training on {} runs…", corpus.len());
     let config = if args.flag("fast") {
         PretrainConfig::fast()
@@ -166,28 +164,18 @@ fn load_bundle(args: &Args) -> Result<Pretrained, CliError> {
 
 /// The `--backend` selection: the simulator, a recorded trace, a live
 /// Flink REST endpoint, or a JSONL metrics dump.
-enum BackendChoice {
-    Sim,
-    Replay(String),
-    Flink(String),
-    Ingest(String),
-}
-
-fn backend_choice(args: &Args) -> Result<BackendChoice, CliError> {
+fn backend_spec(args: &Args) -> Result<BackendSpec, CliError> {
     let spec = match args.optional("backend") {
-        None => return Ok(BackendChoice::Sim),
+        None => return Ok(BackendSpec::Sim),
         Some(spec) => spec,
     };
     if spec == "sim" {
-        return Ok(BackendChoice::Sim);
+        return Ok(BackendSpec::Sim);
     }
     let choice = [
-        (
-            "replay:",
-            BackendChoice::Replay as fn(String) -> BackendChoice,
-        ),
-        ("flink:", BackendChoice::Flink),
-        ("ingest:", BackendChoice::Ingest),
+        ("replay:", BackendSpec::Replay as fn(String) -> BackendSpec),
+        ("flink:", BackendSpec::Flink),
+        ("ingest:", BackendSpec::Ingest),
     ]
     .iter()
     .find_map(|(prefix, make)| {
@@ -249,40 +237,6 @@ fn report_faults(stats: &RetryStats) {
     }
 }
 
-fn run_tuning(
-    backend: &mut dyn ExecutionBackend,
-    pre: &Pretrained,
-    flow: &streamtune_dataflow::Dataflow,
-    retry: RetryPolicy,
-) -> Result<(TuneOutcome, RetryStats), CliError> {
-    let mut tuner = StreamTune::new(pre, TuneConfig::default());
-    let mut session = TuningSession::new(backend, flow).with_retry(retry);
-    let outcome = tuner.tune(&mut session)?;
-    let stats = session.retry_stats();
-    Ok((outcome, stats))
-}
-
-/// Tune over an owned backend, wrapping it in a seeded [`ChaosBackend`]
-/// when `--chaos` asked for a fault storm.
-fn tune_with_faults<B: ExecutionBackend>(
-    backend: B,
-    pre: &Pretrained,
-    flow: &streamtune_dataflow::Dataflow,
-    retry: RetryPolicy,
-    chaos: Option<u64>,
-) -> Result<(TuneOutcome, RetryStats), CliError> {
-    match chaos {
-        Some(seed) => {
-            let mut chaotic = ChaosBackend::new(backend, FaultPlan::transient(seed));
-            run_tuning(&mut chaotic, pre, flow, retry)
-        }
-        None => {
-            let mut backend = backend;
-            run_tuning(&mut backend, pre, flow, retry)
-        }
-    }
-}
-
 fn cmd_tune(args: &Args) -> Result<(), CliError> {
     let pre = load_bundle(args)?;
     let query = args.required("query")?;
@@ -300,114 +254,91 @@ fn cmd_tune(args: &Args) -> Result<(), CliError> {
     let retry = retry_policy(args, RetryPolicy::default())?;
     let chaos = chaos_seed(args)?;
     let record_path = args.optional("record");
-    let choice = backend_choice(args)?;
-    if record_path.is_some() && !matches!(choice, BackendChoice::Sim) {
+    let spec = backend_spec(args)?;
+    if record_path.is_some() && spec != BackendSpec::Sim {
         return Err(CliError::Usage(
             "--record is only meaningful with --backend sim (other backends are already \
              recorded or live)"
                 .to_string(),
         ));
     }
-    match choice {
-        BackendChoice::Sim => {
-            let cluster = match engine {
-                Engine::Flink => SimCluster::flink_defaults(seed),
-                Engine::Timely => SimCluster::timely_defaults(seed),
-            };
-            let (outcome, stats) = if let Some(path) = &record_path {
-                if chaos.is_some() {
-                    return Err(CliError::Usage(
-                        "--chaos cannot be combined with --record: traces record clean \
-                         deployments"
-                            .to_string(),
-                    ));
-                }
-                let mut recorder = TraceRecorder::new(cluster.clone());
-                let result = run_tuning(&mut recorder, &pre, &flow, retry)?;
-                recorder.into_log().save(path)?;
-                eprintln!("trace recorded → {path}");
-                result
-            } else {
-                tune_with_faults(cluster.clone(), &pre, &flow, retry, chaos)?
-            };
+    if record_path.is_some() && chaos.is_some() {
+        return Err(CliError::Usage(
+            "--chaos cannot be combined with --record: traces record clean deployments".to_string(),
+        ));
+    }
+    if let BackendSpec::Ingest(path) = &spec {
+        if chaos.is_some() {
+            return Err(CliError::Usage(
+                "--chaos cannot be combined with --backend ingest: an ingested deployment \
+                 is admitted, not tuned"
+                    .to_string(),
+            ));
+        }
+        // A dump records one fixed deployment per window — there is
+        // nothing for a tuner to explore, so admit what the dump's engine
+        // actually ran (the serve daemon does the same).
+        let report = ingest_file(path, &ingest_config(args)?)?;
+        let outcome = report.admitted();
+        if outcome.final_assignment.len() != flow.num_ops() {
+            return Err(CliError::Usage(format!(
+                "ingested dump has {} operator(s) but workload `{query}` has {}",
+                outcome.final_assignment.len(),
+                flow.num_ops()
+            )));
+        }
+        print_outcome(&query, multiplier, &flow, &outcome);
+        println!(
+            "admitted the deployment recorded across {} window(s) of {path}",
+            report.stats.windows
+        );
+        return Ok(());
+    }
+
+    let mut backend = spec.open(engine, seed)?;
+    if let BackendSpec::Flink(url) = &spec {
+        eprintln!("connected to {url}");
+    }
+    let backend = backend.as_mut();
+    let tune = |backend: &mut dyn ExecutionBackend| -> Result<_, CliError> {
+        let mut tuner = StreamTune::new(&pre, TuneConfig::default());
+        let mut session = TuningSession::new(backend, &flow).with_retry(retry);
+        let outcome = tuner.tune(&mut session)?;
+        Ok((
+            outcome,
+            session.retry_stats(),
+            session.parallelism_trace().len(),
+        ))
+    };
+    let (outcome, stats, deployments) = match (&record_path, chaos) {
+        (Some(path), _) => {
+            let mut recorder = TraceRecorder::new(backend);
+            let result = tune(&mut recorder)?;
+            recorder.into_log().save(path)?;
+            eprintln!("trace recorded → {path}");
+            result
+        }
+        (None, Some(chaos)) => tune(&mut ChaosBackend::new(backend, FaultPlan::transient(chaos)))?,
+        (None, None) => tune(backend)?,
+    };
+    print_outcome(&query, multiplier, &flow, &outcome);
+    match &spec {
+        BackendSpec::Sim => {
             // Score the recommendation against the simulator's ground truth.
-            let rep = cluster.simulate(&flow, &outcome.final_assignment);
-            print_outcome(&query, multiplier, &flow, &outcome);
+            let rep = engine
+                .sim_cluster(seed)
+                .simulate(&flow, &outcome.final_assignment);
             println!(
                 "sustains sources: {:.1}%",
                 rep.observation.throughput_scale * 100.0
             );
-            report_faults(&stats);
         }
-        BackendChoice::Replay(path) => {
-            let replay = ReplayBackend::from_file(&path)?;
-            let (outcome, stats, served) = match chaos {
-                Some(seed) => {
-                    let mut chaotic = ChaosBackend::new(replay, FaultPlan::transient(seed));
-                    let (outcome, stats) = run_tuning(&mut chaotic, &pre, &flow, retry)?;
-                    let served = chaotic.into_inner().served();
-                    (outcome, stats, served)
-                }
-                None => {
-                    let mut replay = replay;
-                    let (outcome, stats) = run_tuning(&mut replay, &pre, &flow, retry)?;
-                    let served = replay.served();
-                    (outcome, stats, served)
-                }
-            };
-            print_outcome(&query, multiplier, &flow, &outcome);
-            println!("replayed {served} recorded deployment(s) from {path}");
-            report_faults(&stats);
+        BackendSpec::Replay(path) => {
+            println!("replayed {deployments} recorded deployment(s) from {path}")
         }
-        BackendChoice::Flink(url) => {
-            let backend = FlinkBackend::connect(&url)?;
-            eprintln!(
-                "connected to {url}: job {} with {} vertex(es)",
-                backend.job_id(),
-                backend.vertex_names().len()
-            );
-            let (outcome, stats) = tune_with_faults(backend, &pre, &flow, retry, chaos)?;
-            print_outcome(&query, multiplier, &flow, &outcome);
-            report_faults(&stats);
-        }
-        BackendChoice::Ingest(path) => {
-            // A dump records one fixed deployment per window — there is
-            // nothing for a tuner to explore, so admit what the dump's
-            // engine actually ran (the serve daemon does the same).
-            let report = ingest_file(&path, &ingest_config(args)?)?;
-            let last = report
-                .log
-                .deploys
-                .last()
-                .expect("ingest yields at least one window");
-            if last.assignment.len() != flow.num_ops() {
-                return Err(CliError::Usage(format!(
-                    "ingested dump has {} operator(s) but workload `{query}` has {}",
-                    last.assignment.len(),
-                    flow.num_ops()
-                )));
-            }
-            let backpressure_events = report
-                .log
-                .deploys
-                .iter()
-                .filter(|e| e.report.observation.job_backpressure)
-                .count() as u32;
-            let outcome = TuneOutcome {
-                final_assignment: last.assignment.clone(),
-                reconfigurations: 0,
-                backpressure_events,
-                elapsed_minutes: 0.0,
-                iterations: report.log.deploys.len() as u32,
-                converged: true,
-            };
-            print_outcome(&query, multiplier, &flow, &outcome);
-            println!(
-                "admitted the deployment recorded across {} window(s) of {path}",
-                report.stats.windows
-            );
-        }
+        _ => {}
     }
+    report_faults(&stats);
     Ok(())
 }
 
@@ -596,14 +527,10 @@ fn bootstrap_server(args: &Args) -> Result<Server, CliError> {
     let config = server_config(args)?;
 
     let (server, report) = Server::bootstrap(store, config, || {
-        let cluster = match engine {
-            Engine::Flink => SimCluster::flink_defaults(seed),
-            Engine::Timely => SimCluster::timely_defaults(seed),
-        };
         eprintln!("generating {jobs}-job corpus (seed {seed})…");
         let mut gen = HistoryGenerator::new(seed).with_jobs(jobs);
         gen.engine = engine;
-        let corpus = gen.generate(&cluster);
+        let corpus = gen.generate(&engine.sim_cluster(seed));
         eprintln!("pre-training on {} runs…", corpus.len());
         corpus
     })?;
@@ -790,7 +717,7 @@ fn cmd_monitor(args: &Args) -> Result<(), CliError> {
         multiplier,
         seed,
         engine,
-        backend: streamtune_serve::BackendSpec::Sim,
+        backend: BackendSpec::Sim,
     };
     expect_ok(server.handle(&Request::Submit(spec)).0)?;
     let schedule: Vec<f64> = std::iter::repeat_n(multiplier, shift_at as usize)

@@ -138,3 +138,22 @@ fn malformed_or_contradictory_backends_are_usage_errors() {
     assert_usage(&tune(&record), "--record is only meaningful");
     assert!(!Path::new(trace).exists(), "nothing was recorded");
 }
+
+#[test]
+fn chaos_on_an_admitted_ingest_deployment_is_a_usage_error() {
+    // An ingested deployment is admitted, not tuned: a fault storm would
+    // have nothing to act on, so the flag is refused instead of ignored.
+    let backend = format!("ingest:{DEMO_DUMP}");
+    let out = tune(&[
+        "--query",
+        "pqp-2way-0",
+        "--multiplier",
+        "1",
+        "--backend",
+        &backend,
+        "--chaos",
+        "3",
+    ]);
+    assert_usage(&out, "--chaos cannot be combined with --backend ingest");
+    assert!(out.stdout.is_empty(), "nothing was admitted");
+}

@@ -40,7 +40,7 @@ use std::io::BufRead;
 
 use streamtune_backend::{
     BackendConstraints, BackendError, EngineMode, Observation, OpObservation, SimulationReport,
-    TraceEntry, TraceLog, BACKPRESSURE_VISIBILITY,
+    TraceEntry, TraceLog, TuneOutcome, BACKPRESSURE_VISIBILITY,
 };
 use streamtune_dataflow::{OpId, ParallelismAssignment};
 
@@ -108,6 +108,29 @@ pub struct IngestReport {
     pub schedule: Vec<f64>,
     /// Ingestion counters.
     pub stats: IngestStats,
+}
+
+impl IngestReport {
+    /// The dump's recorded deployment admitted as a finished tuning: a
+    /// dump records one fixed deployment per window, so there is nothing
+    /// for a tuner to explore. The outcome is the last window's
+    /// assignment with zero reconfigurations; callers check that it
+    /// covers their workload's operators.
+    pub fn admitted(&self) -> TuneOutcome {
+        let entries = &self.log.deploys;
+        let last = entries.last().expect("ingest yields at least one window");
+        TuneOutcome {
+            final_assignment: last.assignment.clone(),
+            reconfigurations: 0,
+            backpressure_events: entries
+                .iter()
+                .filter(|e| e.report.observation.job_backpressure)
+                .count() as u32,
+            elapsed_minutes: 0.0,
+            iterations: entries.len() as u32,
+            converged: true,
+        }
+    }
 }
 
 /// One parsed row.

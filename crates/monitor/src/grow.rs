@@ -13,7 +13,6 @@
 
 use streamtune_core::{PretrainConfig, Pretrained, Pretrainer};
 use streamtune_ged::GedCache;
-use streamtune_sim::SimCluster;
 use streamtune_workloads::history::{record_runs, ExecutionRecord};
 use streamtune_workloads::rates::Engine;
 use streamtune_workloads::Workload;
@@ -44,10 +43,7 @@ pub fn grow_records(
     seed: u64,
     runs: usize,
 ) -> Vec<ExecutionRecord> {
-    let cluster = match engine {
-        Engine::Flink => SimCluster::flink_defaults(seed),
-        Engine::Timely => SimCluster::timely_defaults(seed),
-    };
+    let cluster = engine.sim_cluster(seed);
     record_runs(&cluster, workload, seed, runs, GROW_MAX_PARALLELISM)
 }
 
@@ -77,6 +73,7 @@ mod tests {
     use super::*;
     use streamtune_core::PretrainConfig;
     use streamtune_ged::Bound;
+    use streamtune_sim::SimCluster;
     use streamtune_workloads::history::HistoryGenerator;
     use streamtune_workloads::{nexmark, pqp};
 

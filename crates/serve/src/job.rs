@@ -1,7 +1,7 @@
 //! The job manager: admission, deterministic batch execution, ledger.
 //!
 //! Jobs are *independent by construction*: every job owns its backend
-//! (a per-job seeded `SimCluster` or a replayed trace) and its own
+//! (opened from its spec by [`BackendSpec::open`]) and its own
 //! `StreamTune` fine-tuning state, while the admission-time [`Pretrained`]
 //! corpus is shared read-only. Running a job is therefore a pure function
 //! of `(pretrained, spec)`, which is what makes the worker-pool fan-out
@@ -26,14 +26,13 @@ use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use streamtune_backend::{
-    ChaosBackend, ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceEntry, TuneError,
-    TuneOutcome, Tuner, TuningSession,
+    ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceEntry, TuneError, TuneOutcome,
+    Tuner, TuningSession,
 };
-use streamtune_connect::{ingest_file, FlinkBackend, IngestConfig};
+use streamtune_connect::{ingest_file, IngestConfig};
 use streamtune_core::{Pretrained, StreamTune, TuneConfig, WarmFits};
 use streamtune_ged::{parallel_map, GedCacheStats, Parallelism};
-use streamtune_sim::SimCluster;
-use streamtune_workloads::{find_workload, rates::Engine};
+use streamtune_workloads::find_workload;
 
 /// A finished job's tuning result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,17 +148,6 @@ struct AuditCtx {
     generation: u64,
 }
 
-/// The lowercase backend-family name stored in decision records.
-fn backend_name(backend: &BackendSpec) -> &'static str {
-    match backend {
-        BackendSpec::Sim => "sim",
-        BackendSpec::Replay(_) => "replay",
-        BackendSpec::Chaos(_) => "chaos",
-        BackendSpec::Flink(_) => "flink",
-        BackendSpec::Ingest(_) => "ingest",
-    }
-}
-
 /// Best-effort text of a panic payload (panics carry `&str` or `String`
 /// in practice).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -184,14 +172,6 @@ fn journalable(spec: &JobSpec) -> bool {
     matches!(spec.backend, BackendSpec::Sim | BackendSpec::Chaos(_))
 }
 
-/// The per-job seeded simulated cluster a spec runs on.
-fn sim_for(spec: &JobSpec) -> SimCluster {
-    match spec.engine {
-        Engine::Flink => SimCluster::flink_defaults(spec.seed),
-        Engine::Timely => SimCluster::timely_defaults(spec.seed),
-    }
-}
-
 /// What every run of one drain shares: the model, its shared warm-up
 /// fits (which change no decision) and the daemon-wide run policy.
 #[derive(Clone, Copy)]
@@ -203,11 +183,14 @@ struct RunEnv<'a> {
 }
 
 /// Run one job to completion — a pure function of `(pretrained, spec,
-/// retry)`. `cluster` is the admission-time assignment (computed once in
-/// [`JobManager::submit`]; `StreamTune` re-derives the same value
-/// internally, so there is no second GED pass to pay here).
+/// retry)`. `cluster` is the admission-time assignment from
+/// [`JobManager::submit`]. A tuned job pays nearest-center GED three
+/// times: at admission, again inside `StreamTune::tune` (its
+/// `assign_cluster` span), and again for the decision record's
+/// `center_distances` (ROADMAP item 5: compute it once, at admission).
 ///
-/// Never panics: a panicking backend (e.g. a [`ChaosBackend`] crash
+/// Never panics: a panicking backend (e.g. a
+/// [`ChaosBackend`](streamtune_backend::ChaosBackend) crash
 /// epoch) is caught *here*, inside the worker closure, and becomes a
 /// `Failed` state — it must not unwind through [`parallel_map`], which
 /// would take the whole drain (and the server lock) down with it.
@@ -260,40 +243,64 @@ fn run_job_inner(
         return failed(format!("unknown workload `{}`", spec.query));
     };
     let flow = workload.at(spec.multiplier);
-    let mut backend: Box<dyn ExecutionBackend> = match &spec.backend {
-        // The daemon-wide chaos seed (a fault drill) wraps simulator-backed
-        // jobs in transient fault injection; the storms sit inside the
-        // default retry budget, so outcomes are unchanged.
-        BackendSpec::Sim => match chaos {
-            Some(seed) => Box::new(ChaosBackend::new(
-                sim_for(spec),
-                FaultPlan::transient(seed ^ spec.seed),
-            )),
-            None => Box::new(sim_for(spec)),
-        },
-        BackendSpec::Replay(path) => match streamtune_backend::ReplayBackend::from_file(path) {
-            Ok(replay) => Box::new(replay),
-            Err(e) => return failed(e.to_string()),
-        },
-        BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim_for(spec), **plan)),
+    // An ingested dump is a record of a deployment that already ran:
+    // there is nothing to tune, so the job *admits* that deployment — its
+    // recommendation is the recorded assignment — and `watch` replays the
+    // dump's windows through the drift monitor.
+    if let BackendSpec::Ingest(path) = &spec.backend {
+        let report = match ingest_file(path, &IngestConfig::default()) {
+            Ok(report) => report,
+            Err(e) if e.is_transient() => return degraded(format!("ingest {path}: {e}")),
+            Err(e) => return failed(format!("ingest {path}: {e}")),
+        };
+        // The workload must match the dump's shape: the monitor later
+        // polls the replayed windows through the workload's flow, and a
+        // silent mismatch there would hand one job's metrics to another's
+        // detector.
+        let outcome = report.admitted();
+        if outcome.final_assignment.len() != flow.num_ops() {
+            return failed(format!(
+                "ingested dump has {} operators but the job's workload has {}",
+                outcome.final_assignment.len(),
+                flow.num_ops()
+            ));
+        }
+        return RunReport {
+            state: JobState::Done(JobResult {
+                cluster,
+                outcome,
+                op_names: report.operators.into(),
+            }),
+            retry: RetryStats::default(),
+            // Admissions of a past run are not decisions the daemon made:
+            // there is nothing to explain.
+            decision: None,
+        };
+    }
+    // The daemon-wide chaos seed (a fault drill) runs `sim` tuning runs on
+    // transient fault injection; the storms sit inside the default retry
+    // budget, so outcomes are unchanged. The spec itself stays `sim`.
+    let drill;
+    let backend_spec = match (&spec.backend, chaos) {
+        (BackendSpec::Sim, Some(seed)) => {
+            drill = BackendSpec::Chaos(Box::new(FaultPlan::transient(seed ^ spec.seed)));
+            &drill
+        }
+        (backend, _) => backend,
+    };
+    let mut backend = match backend_spec.open(spec.engine, spec.seed) {
+        Ok(backend) => backend,
         // A cluster that cannot be reached right now is sick, not wrong:
         // degrade so a re-submit retries once it is back.
-        BackendSpec::Flink(url) => match FlinkBackend::connect(url) {
-            Ok(backend) => Box::new(backend),
-            Err(e) if e.is_transient() => return degraded(format!("flink backend: {e}")),
-            Err(e) => return failed(format!("flink backend: {e}")),
-        },
-        // An ingested dump is a record of a deployment that already ran:
-        // there is nothing to tune, so the job *admits* that deployment —
-        // its recommendation is the recorded assignment — and `watch`
-        // replays the dump's windows through the drift monitor.
-        BackendSpec::Ingest(path) => {
-            return match ingest_file(path, &IngestConfig::default()) {
-                Ok(report) => ingested_report(&flow, cluster, &report),
-                Err(e) if e.is_transient() => degraded(format!("ingest {path}: {e}")),
-                Err(e) => failed(format!("ingest {path}: {e}")),
+        Err(e) if matches!(spec.backend, BackendSpec::Flink(_)) => {
+            let message = format!("flink backend: {e}");
+            return if e.is_transient() {
+                degraded(message)
+            } else {
+                failed(message)
             };
         }
+        Err(e) => return failed(e.to_string()),
     };
     let mut tuner = StreamTune::new(pretrained, TuneConfig::default()).with_warm_fits(warm);
     // The journal layer sits between the session and the (possibly
@@ -336,7 +343,7 @@ fn run_job_inner(
                 query: spec.query.clone(),
                 multiplier: spec.multiplier,
                 seed: spec.seed,
-                backend: backend_name(&spec.backend).to_string(),
+                backend: spec.backend.name().to_string(),
                 dag_ops: flow.num_ops() as u64,
                 dag_edges: view.edges.len() as u64,
                 dag_signature: decision::signature_hash(&streamtune_dataflow::GraphSignature::of(
@@ -385,55 +392,6 @@ fn run_job_inner(
         state,
         retry,
         decision,
-    }
-}
-
-/// The terminal state of an ingest-backed job: the dump's recorded
-/// deployment, presented as a finished "tuning" with zero
-/// reconfigurations. The workload named by the spec must match the dump's
-/// shape — the monitor later polls the replayed windows through that
-/// workload's flow, and a silent mismatch there would hand one job's
-/// metrics to another's detector.
-fn ingested_report(
-    flow: &streamtune_dataflow::Dataflow,
-    cluster: usize,
-    report: &streamtune_connect::IngestReport,
-) -> RunReport {
-    let entries = &report.log.deploys;
-    let last = entries.last().expect("ingest yields at least one window");
-    if last.assignment.len() != flow.num_ops() {
-        return RunReport {
-            state: JobState::Failed(format!(
-                "ingested dump has {} operators but the job's workload has {}",
-                last.assignment.len(),
-                flow.num_ops()
-            )),
-            retry: RetryStats::default(),
-            decision: None,
-        };
-    }
-    let backpressure_events = entries
-        .iter()
-        .filter(|e| e.report.observation.job_backpressure)
-        .count() as u32;
-    let outcome = TuneOutcome {
-        final_assignment: last.assignment.clone(),
-        reconfigurations: 0,
-        backpressure_events,
-        elapsed_minutes: 0.0,
-        iterations: entries.len() as u32,
-        converged: true,
-    };
-    RunReport {
-        state: JobState::Done(JobResult {
-            cluster,
-            outcome,
-            op_names: report.operators.as_slice().into(),
-        }),
-        retry: RetryStats::default(),
-        // Ingested deployments are admissions of a past run, not tuning
-        // decisions the daemon made — there is nothing to explain.
-        decision: None,
     }
 }
 
@@ -544,8 +502,8 @@ impl JobManager {
         self
     }
 
-    /// Run drains in fault-drill mode: every simulator-backed job is
-    /// wrapped in deterministic transient fault injection seeded by
+    /// Run drains in fault-drill mode: the tuning run of every `sim` job
+    /// runs on deterministic transient fault injection seeded by
     /// `chaos ^ job seed` (builder-style; `None` disables).
     pub fn with_chaos(mut self, chaos: Option<u64>) -> Self {
         self.chaos = chaos;
@@ -1065,7 +1023,9 @@ impl JobManager {
 mod tests {
     use super::*;
     use streamtune_core::{PretrainConfig, Pretrainer};
+    use streamtune_sim::SimCluster;
     use streamtune_workloads::history::HistoryGenerator;
+    use streamtune_workloads::rates::Engine;
 
     fn small_pretrained(seed: u64) -> Pretrained {
         let cluster = SimCluster::flink_defaults(seed);

@@ -27,7 +27,12 @@
 //!   (`submit` / `status` / `recommend` / `cancel` / `watch` / `unwatch` /
 //!   `drift_status` / `tick` / `health` / `metrics` / `snapshot` /
 //!   `drain` / `trace` / `explain` / `metrics_history` / `shutdown`),
-//!   identical over stdio, in-process buffers and TCP;
+//!   identical over stdio, in-process buffers and TCP. A job's
+//!   [`BackendSpec`] names its backend family, and [`BackendSpec::open`]
+//!   is the one constructor of job backends: the tuning run, the `watch`
+//!   poll and the CLI's `tune` all open through it, each keeping its own
+//!   policy around it (the chaos drill, `--chaos`/`--record`, which
+//!   failures degrade);
 //! * [`decision`] — the **decision audit trail**: every recommendation
 //!   captures a [`DecisionRecord`] (DAG signature, cluster assignment and
 //!   center distances, model generation, GED-cache provenance, chosen
@@ -65,7 +70,9 @@
 //!   [`ChaosBackend`](streamtune_backend::ChaosBackend) driven by a
 //!   seeded [`FaultPlan`](streamtune_backend::FaultPlan): transient I/O
 //!   errors, failed deploys, NaN observations, stale epochs and
-//!   crash-at-epoch, all pure functions of the plan seed.
+//!   crash-at-epoch, all pure functions of the plan seed. The daemon-wide
+//!   drill ([`ServerConfig::chaos`]) runs every `sim` job's tuning run as
+//!   a transient `Chaos` one.
 //! * **Retry, then degrade** — transient backend faults are retried at
 //!   the *same* epoch under a bounded
 //!   [`RetryPolicy`](streamtune_backend::RetryPolicy) with virtual

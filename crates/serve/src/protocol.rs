@@ -57,7 +57,8 @@
 //!   journaled, the store flushed, and the server stops accepting work.
 
 use serde::{Deserialize, Error, Serialize, Value};
-use streamtune_backend::FaultPlan;
+use streamtune_backend::{BackendError, ChaosBackend, ExecutionBackend, FaultPlan, ReplayBackend};
+use streamtune_connect::{ingest_file, FlinkBackend, IngestConfig};
 use streamtune_monitor::DriftStatusLine;
 use streamtune_workloads::rates::Engine;
 
@@ -86,6 +87,48 @@ pub enum BackendSpec {
     /// recommendation is the recorded assignment — and a `watch` replays
     /// the dump's windows through the drift monitor.
     Ingest(String),
+}
+
+impl BackendSpec {
+    /// The backend family's lowercase name, as stored in decision records.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BackendSpec::Sim => "sim",
+            BackendSpec::Replay(_) => "replay",
+            BackendSpec::Chaos(_) => "chaos",
+            BackendSpec::Flink(_) => "flink",
+            BackendSpec::Ingest(_) => "ingest",
+        }
+    }
+
+    /// Open the backend this spec names, for a job on `engine` seeded
+    /// `seed`: the engine's simulated cluster (`Sim`), wrapped in the
+    /// carried fault plan (`Chaos`); the recorded trace (`Replay`); a fresh
+    /// connection to the REST endpoint (`Flink`); or a replay of the dump's
+    /// windows from the first (`Ingest`, read with the default
+    /// [`IngestConfig`]).
+    ///
+    /// This is the one constructor of job backends. Callers keep their own
+    /// policy around it: which open failures degrade a job rather than fail
+    /// it, the daemon's chaos drill, the CLI's `--chaos` and `--record`
+    /// wrappers, and admitting (not tuning) ingested deployments.
+    pub fn open(
+        &self,
+        engine: Engine,
+        seed: u64,
+    ) -> Result<Box<dyn ExecutionBackend + Send>, BackendError> {
+        Ok(match self {
+            BackendSpec::Sim => Box::new(engine.sim_cluster(seed)),
+            BackendSpec::Chaos(plan) => {
+                Box::new(ChaosBackend::new(engine.sim_cluster(seed), **plan))
+            }
+            BackendSpec::Replay(path) => Box::new(ReplayBackend::from_file(path)?),
+            BackendSpec::Flink(url) => Box::new(FlinkBackend::connect(url)?),
+            BackendSpec::Ingest(path) => Box::new(ReplayBackend::new(
+                ingest_file(path, &IngestConfig::default())?.log,
+            )),
+        })
+    }
 }
 
 /// Everything needed to admit and run one named tuning job.

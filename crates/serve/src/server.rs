@@ -35,17 +35,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
-use streamtune_backend::{ChaosBackend, ExecutionBackend, RetryPolicy};
+use streamtune_backend::RetryPolicy;
 use streamtune_core::{PretrainConfig, Pretrained, Pretrainer};
 use streamtune_ged::{Bound, GedCache, Parallelism};
 use streamtune_monitor::{
     grow_and_pretrain, grow_records, structure_distance, DriftEvent, Monitor, MonitorConfig,
     WatchSpec,
 };
-use streamtune_sim::SimCluster;
 use streamtune_telemetry::{emit, Level};
+use streamtune_workloads::find_workload;
 use streamtune_workloads::history::ExecutionRecord;
-use streamtune_workloads::{find_workload, rates::Engine};
 
 use crate::expose::ServeMetrics;
 
@@ -74,11 +73,13 @@ pub struct ServerConfig {
     /// (transient backend faults are absorbed deterministically before
     /// they can fail a job).
     pub retry: RetryPolicy,
-    /// Fault-drill mode: when set, every simulator-backed job is wrapped
-    /// in deterministic transient fault injection seeded by
-    /// `chaos ^ job seed`. The storms sit inside the retry budget, so
-    /// recommendations are bit-identical to a drill-free daemon — the knob
-    /// exercises the fault path, it does not change answers.
+    /// Fault-drill mode: when set, the tuning run of every `sim` job runs
+    /// on deterministic transient fault injection seeded by
+    /// `chaos ^ job seed` (the job's spec, journal and ledger still say
+    /// `sim`, and `watch` polls the plain simulator). The storms sit inside
+    /// the retry budget, so recommendations are bit-identical to a
+    /// drill-free daemon — the knob exercises the fault path, it does not
+    /// change answers.
     pub chaos: Option<u64>,
     /// SLO thresholds over the daemon's fault counters; crossing one
     /// raises an alarm line in `health` and `drift_status`.
@@ -550,43 +551,23 @@ impl Server {
         let flow = workload.at(spec.multiplier);
         let distance = structure_distance(&mut self.cache, &flow, self.manager.pretrained());
         let covered = distance <= self.config.monitor.detector.structure_tau;
-        // The monitor polls the same ground-truth cluster the job runs on
-        // (same per-spec seed); monitor epochs are disjoint from tuning
-        // epochs, so the readings are fresh, not replays. A chaos job
-        // keeps its fault plan on the monitoring path too — the stream's
-        // retry loop and the monitor's degrade policy are what make that
-        // survivable.
-        let sim = match spec.engine {
-            Engine::Flink => SimCluster::flink_defaults(spec.seed),
-            Engine::Timely => SimCluster::timely_defaults(spec.seed),
-        };
-        let backend: Box<dyn ExecutionBackend + Send> = match &spec.backend {
-            BackendSpec::Chaos(plan) => Box::new(ChaosBackend::new(sim, **plan)),
-            // A live job is re-connected fresh for the watch: monitor
-            // polls must not share connection state with the tuning run.
-            BackendSpec::Flink(url) => {
-                Box::new(streamtune_connect::FlinkBackend::connect(url).map_err(|e| {
-                    ServeError::Io {
-                        context: format!("connect flink backend to watch `{}`", spec.name),
-                        message: e.to_string(),
-                    }
-                })?)
-            }
-            // An ingested dump replays from its first window for the
-            // watch, so the monitor walks the dump's whole timeline.
-            BackendSpec::Ingest(path) => {
-                let report = streamtune_connect::ingest_file(
-                    path,
-                    &streamtune_connect::IngestConfig::default(),
-                )
-                .map_err(|e| ServeError::Io {
-                    context: format!("ingest `{path}` to watch `{}`", spec.name),
-                    message: e.to_string(),
-                })?;
-                Box::new(streamtune_backend::ReplayBackend::new(report.log))
-            }
-            _ => Box::new(sim),
-        };
+        // The monitor polls a freshly opened backend of the job's own spec:
+        // the same seeded cluster (a chaos job keeps its fault plan; the
+        // stream's retry loop and the monitor's degrade policy absorb it),
+        // a new connection to a live job, or a dump replayed from its first
+        // window. Monitor epochs are disjoint from tuning epochs, so the
+        // readings are fresh. The chaos drill wraps tuning runs only.
+        let backend = spec
+            .backend
+            .open(spec.engine, spec.seed)
+            .map_err(|e| ServeError::Io {
+                context: format!(
+                    "open the {} backend to watch `{}`",
+                    spec.backend.name(),
+                    spec.name
+                ),
+                message: e.to_string(),
+            })?;
         self.monitor.watch(
             WatchSpec {
                 name: spec.name,

@@ -1,6 +1,7 @@
 //! Source-rate units (paper Table II) and the periodic rate pattern (§V-A).
 
 use serde::{Deserialize, Serialize};
+use streamtune_sim::SimCluster;
 
 /// Which engine's rate units to use (Table II has separate columns).
 ///
@@ -16,6 +17,17 @@ pub enum Engine {
     /// Timely Dataflow column.
     #[serde(alias = "Timely")]
     Timely,
+}
+
+impl Engine {
+    /// The engine's default simulated cluster, seeded for one job or
+    /// corpus.
+    pub fn sim_cluster(self, seed: u64) -> SimCluster {
+        match self {
+            Engine::Flink => SimCluster::flink_defaults(seed),
+            Engine::Timely => SimCluster::timely_defaults(seed),
+        }
+    }
 }
 
 /// Table II, Nexmark rows: `Wu` in records/second per source.
