@@ -15,7 +15,11 @@
 //!   re-invoking `deploy` at the same epoch therefore sees a clean call
 //!   within the burst cap — and because the wrapped backend keys its
 //!   measurement noise on the epoch, the post-retry observation is
-//!   bit-identical to what a fault-free run would have seen.
+//!   bit-identical to what a fault-free run would have seen. A NaN
+//!   observation corrupts a report the wrapped backend really served; the
+//!   clean report is held back and answers the next call at the same
+//!   epoch and assignment without deploying again, so a backend that
+//!   serves each deployment once (a replayed trace) absorbs it too.
 //! * **Per-epoch faults** (stale observations, crash-at-epoch) are keyed
 //!   on the deployment epoch: a stale epoch silently re-serves the last
 //!   successful report (metrics dashboards lag reality), and the crash
@@ -306,6 +310,9 @@ pub struct ChaosBackend<B: ExecutionBackend> {
     calls: u64,
     consecutive: u32,
     last_report: Option<SimulationReport>,
+    /// The clean report behind the last NaN-corrupted reply, with the
+    /// epoch and assignment it answers.
+    held: Option<(u64, ParallelismAssignment, SimulationReport)>,
     counters: FaultCounters,
 }
 
@@ -318,6 +325,7 @@ impl<B: ExecutionBackend> ChaosBackend<B> {
             calls: 0,
             consecutive: 0,
             last_report: None,
+            held: None,
             counters: FaultCounters::default(),
         }
     }
@@ -413,12 +421,16 @@ impl<B: ExecutionBackend> ExecutionBackend for ChaosBackend<B> {
             }
         }
 
-        let report = self.inner.deploy(flow, assignment, epoch)?;
+        let report = match self.held.take() {
+            Some((e, a, report)) if e == epoch && a == *assignment => report,
+            _ => self.inner.deploy(flow, assignment, epoch)?,
+        };
         if unit(seed, DOMAIN_NAN, call) < rates.nan_rate {
             if burst_open {
                 self.consecutive += 1;
                 self.counters.nan_observations += 1;
-                let mut corrupted = report;
+                let mut corrupted = report.clone();
+                self.held = Some((epoch, assignment.clone(), report));
                 Self::corrupt(&mut corrupted);
                 // Deliberately not remembered as `last_report`: stale
                 // epochs replay truths, not corruptions.
@@ -571,6 +583,34 @@ mod tests {
         );
         assert_eq!(chaos.counters().stale_epochs, 1);
         assert_eq!(chaos.inner().deploys, 1, "stale epochs skip the backend");
+    }
+
+    #[test]
+    fn a_nan_fault_holds_the_clean_report_for_the_retry() {
+        let flow = tiny_flow();
+        let a = ParallelismAssignment::from_vec(vec![1]);
+        let mut plan = FaultPlan::quiet(17).with_max_burst(1);
+        plan.nan_rate = 1.0; // every call wants to corrupt
+        let mut chaos = ChaosBackend::new(StubBackend { deploys: 0 }, plan);
+        let corrupted = chaos.deploy(&flow, &a, 1).unwrap();
+        assert!(corrupted.observation.throughput_scale.is_nan());
+        // The burst cap lets the retry through: it is served the clean
+        // report behind the corruption, not a second deployment.
+        let retried = chaos.deploy(&flow, &a, 1).unwrap();
+        assert_eq!(
+            retried.observation.throughput_scale.to_bits(),
+            stub_report(1).observation.throughput_scale.to_bits()
+        );
+        assert_eq!(chaos.inner().deploys, 1, "the retry did not redeploy");
+        // A held report answers only its own epoch.
+        assert!(chaos
+            .deploy(&flow, &a, 2)
+            .unwrap()
+            .observation
+            .throughput_scale
+            .is_nan());
+        chaos.deploy(&flow, &a, 3).unwrap();
+        assert_eq!(chaos.inner().deploys, 3, "epochs 2 and 3 deployed");
     }
 
     #[test]

@@ -25,19 +25,12 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use streamtune_bench::harness::{is_fast, print_table, ExperimentEnv, Method};
-use streamtune_core::{ModelKind, PretrainConfig, Pretrainer};
-use streamtune_sim::{SimCluster, TuningSession};
+use streamtune_bench::harness::{
+    is_fast, pretraining_costs, print_table, recommendation_times, PretrainPoint, RecommendRow,
+    PRETRAIN_SEED, RECOMMEND_SEED,
+};
+use streamtune_sim::SimCluster;
 use streamtune_workloads::history::HistoryGenerator;
-use streamtune_workloads::pqp;
-
-#[derive(Serialize)]
-struct PretrainPoint {
-    num_dags: usize,
-    distinct_structures: usize,
-    clusters: usize,
-    seconds: f64,
-}
 
 #[derive(Serialize)]
 struct PretrainBench {
@@ -45,13 +38,6 @@ struct PretrainBench {
     seed: u64,
     points: Vec<PretrainPoint>,
     total_seconds: f64,
-}
-
-#[derive(Serialize)]
-struct RecommendRow {
-    template: String,
-    method: String,
-    avg_recommendation_seconds: f64,
 }
 
 #[derive(Serialize)]
@@ -72,109 +58,21 @@ fn write_root_json<T: Serialize>(name: &str, value: &T) {
 }
 
 fn bench_pretrain(fast: bool) -> PretrainBench {
-    let seed = 23u64;
-    let sizes: &[usize] = if fast {
-        &[20, 40, 80]
-    } else {
-        &[50, 100, 200, 400, 800]
-    };
-    let cluster = SimCluster::flink_defaults(seed);
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
     let total = Instant::now();
-    for &n in sizes {
-        let corpus = HistoryGenerator::new(seed)
-            .with_jobs(n / 2)
-            .with_runs_per_job(2)
-            .generate(&cluster);
-        let distinct = {
-            use streamtune_dataflow::GraphSignature;
-            use streamtune_ged::{Bound, GedCache, GraphView};
-            let mut cache = GedCache::new(Bound::LabelSet, 24);
-            for r in &corpus {
-                cache.intern(&GraphView::of(&r.flow), &GraphSignature::of(&r.flow));
-            }
-            cache.len()
-        };
-        let start = Instant::now();
-        let pre = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
-        let seconds = start.elapsed().as_secs_f64();
-        rows.push(vec![
-            format!("{}", corpus.len()),
-            format!("{distinct}"),
-            format!("{}", pre.clusters.len()),
-            format!("{seconds:.2}s"),
-        ]);
-        points.push(PretrainPoint {
-            num_dags: corpus.len(),
-            distinct_structures: distinct,
-            clusters: pre.clusters.len(),
-            seconds,
-        });
-    }
-    print_table(
-        "BENCH — pre-training cost (Fig. 9b workload)",
-        &["# DAG runs", "distinct", "clusters", "time"],
-        &rows,
-    );
+    let points = pretraining_costs(fast);
     PretrainBench {
         workload: "fig9b_pretraining_cost",
-        seed,
+        seed: PRETRAIN_SEED,
         points,
         total_seconds: total.elapsed().as_secs_f64(),
     }
 }
 
 fn bench_recommend(fast: bool) -> RecommendBench {
-    let seed = 19u64;
-    let env = ExperimentEnv::flink(seed, if fast { 48 } else { 80 }, fast);
-    let methods = [
-        Method::StreamTune(ModelKind::Xgboost),
-        Method::Ds2,
-        Method::ContTune,
-    ];
-    let per_template: Vec<(&str, Vec<streamtune_workloads::Workload>)> = vec![
-        ("linear", pqp::linear_queries()),
-        ("2-way-join", pqp::two_way_join_queries()),
-        ("3-way-join", pqp::three_way_join_queries()),
-    ];
-    let queries_per_template = if fast { 3 } else { 8 };
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
-    for (name, queries) in &per_template {
-        let mut cells = vec![name.to_string()];
-        for &m in &methods {
-            let mut total = 0.0;
-            let mut count = 0u32;
-            for w in queries.iter().take(queries_per_template) {
-                let flow = w.at(10.0);
-                let mut backend = env.backend();
-                let mut tuner = env.make_tuner(m);
-                let mut session = TuningSession::new(&mut backend, &flow);
-                let start = Instant::now();
-                let outcome = tuner.tune(&mut session).expect("tuning succeeds");
-                total += start.elapsed().as_secs_f64();
-                count += outcome.iterations.max(1);
-            }
-            let avg = total / f64::from(count.max(1));
-            cells.push(format!("{:.1} ms", avg * 1e3));
-            rows.push(RecommendRow {
-                template: name.to_string(),
-                method: m.name(),
-                avg_recommendation_seconds: avg,
-            });
-        }
-        table.push(cells);
-    }
-    print_table(
-        "BENCH — recommendation time per tuning iteration (Fig. 9a workload)",
-        &["template", "StreamTune", "DS2", "ContTune"],
-        &table,
-    );
     RecommendBench {
         workload: "fig9a_recommendation_time",
-        seed,
-        rows,
+        seed: RECOMMEND_SEED,
+        rows: recommendation_times(fast),
     }
 }
 

@@ -5,70 +5,11 @@
 //! Measured for real on this machine: we time the tuner's decision path
 //! (model fits + recommendation searches) per tuning process.
 
-use serde::Serialize;
-use std::time::Instant;
-use streamtune_bench::harness::{is_fast, print_table, write_json, ExperimentEnv, Method};
-use streamtune_core::ModelKind;
-use streamtune_sim::TuningSession;
-use streamtune_workloads::pqp;
-
-#[derive(Serialize)]
-struct Fig9aRow {
-    template: String,
-    method: String,
-    avg_recommendation_seconds: f64,
-}
+use streamtune_bench::harness::{is_fast, recommendation_times, write_json};
 
 fn main() {
-    let fast = is_fast();
-    let env = ExperimentEnv::flink(19, if fast { 48 } else { 80 }, fast);
-    let methods = [
-        Method::StreamTune(ModelKind::Xgboost),
-        Method::Ds2,
-        Method::ContTune,
-    ];
-    let per_template: Vec<(&str, Vec<streamtune_workloads::Workload>)> = vec![
-        ("linear", pqp::linear_queries()),
-        ("2-way-join", pqp::two_way_join_queries()),
-        ("3-way-join", pqp::three_way_join_queries()),
-    ];
-    let queries_per_template = if fast { 3 } else { 8 };
-
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for (name, queries) in &per_template {
-        let mut cells = vec![name.to_string()];
-        for &m in &methods {
-            let mut total = 0.0;
-            let mut count = 0u32;
-            for w in queries.iter().take(queries_per_template) {
-                let flow = w.at(10.0);
-                let mut backend = env.backend();
-                let mut tuner = env.make_tuner(m);
-                let mut session = TuningSession::new(&mut backend, &flow);
-                let start = Instant::now();
-                let outcome = tuner.tune(&mut session).expect("tuning succeeds");
-                // Decision time per tuning process (the simulated deploys
-                // are effectively free, so the wall clock ≈ model time).
-                total += start.elapsed().as_secs_f64();
-                count += outcome.iterations.max(1);
-            }
-            let avg = total / f64::from(count.max(1));
-            cells.push(format!("{:.1} ms", avg * 1e3));
-            json.push(Fig9aRow {
-                template: name.to_string(),
-                method: m.name(),
-                avg_recommendation_seconds: avg,
-            });
-        }
-        rows.push(cells);
-    }
-    print_table(
-        "Fig. 9a — Average recommendation time per tuning iteration (measured)",
-        &["template", "StreamTune", "DS2", "ContTune"],
-        &rows,
-    );
+    let rows = recommendation_times(is_fast());
     println!("\nPaper shape to verify: DS2 cheapest; StreamTune flat as query complexity");
     println!("grows; ContTune rises sharply with operator count (per-op GPs).");
-    write_json("fig9a_recommendation_time", &json);
+    write_json("fig9a_recommendation_time", &rows);
 }

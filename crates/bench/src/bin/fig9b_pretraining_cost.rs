@@ -3,62 +3,17 @@
 //! sweep a machine-appropriate range and verify the same super-linear
 //! growth shape (clustering's pairwise GED work plus per-cluster training).
 
-use serde::Serialize;
-use std::time::Instant;
-use streamtune_bench::harness::{is_fast, print_table, write_json};
-use streamtune_core::{PretrainConfig, Pretrainer};
-use streamtune_sim::SimCluster;
-use streamtune_workloads::history::HistoryGenerator;
-
-#[derive(Serialize)]
-struct Fig9bPoint {
-    num_dags: usize,
-    seconds: f64,
-}
+use streamtune_bench::harness::{is_fast, pretraining_costs, write_json};
 
 fn main() {
-    let fast = is_fast();
-    let sizes: Vec<usize> = if fast {
-        vec![20, 40, 80]
-    } else {
-        vec![50, 100, 200, 400, 800]
-    };
-    let cluster = SimCluster::flink_defaults(23);
-
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for &n in &sizes {
-        let corpus = HistoryGenerator::new(23)
-            .with_jobs(n / 2)
-            .with_runs_per_job(2)
-            .generate(&cluster);
-        let start = Instant::now();
-        let pre = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
-        let secs = start.elapsed().as_secs_f64();
-        rows.push(vec![
-            format!("{}", corpus.len()),
-            format!("{secs:.2}s"),
-            format!("{}", pre.clusters.len()),
-        ]);
-        json.push(Fig9bPoint {
-            num_dags: corpus.len(),
-            seconds: secs,
-        });
-    }
-    print_table(
-        "Fig. 9b — Pre-training time vs corpus size (measured)",
-        &["# DAG runs", "training time", "clusters"],
-        &rows,
-    );
+    let points = pretraining_costs(is_fast());
     // Shape check: super-linear growth.
-    if json.len() >= 2 {
-        let first = &json[0];
-        let last = &json[json.len() - 1];
+    if let (Some(first), Some(last)) = (points.first(), points.last()) {
         let size_ratio = last.num_dags as f64 / first.num_dags as f64;
         let time_ratio = last.seconds / first.seconds.max(1e-9);
         println!(
             "\nGrowth: corpus ×{size_ratio:.1} → time ×{time_ratio:.1} (paper: non-linear increase)"
         );
     }
-    write_json("fig9b_pretraining_cost", &json);
+    write_json("fig9b_pretraining_cost", &points);
 }

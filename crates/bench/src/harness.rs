@@ -1,13 +1,15 @@
 //! Shared experiment harness: environment setup, method dispatch, the
-//! periodic-schedule driver, and table/JSON reporting.
+//! periodic-schedule runner, the Fig. 9 cost measurements, and
+//! table/JSON reporting.
 
 use serde::Serialize;
+use std::time::Instant;
 use streamtune_backend::{ExecutionBackend, TuneError, TuneOutcome, TuningSession};
 use streamtune_baselines::{ContTune, Ds2, Tuner, ZeroTune, ZeroTuneConfig};
 use streamtune_core::{ModelKind, PretrainConfig, Pretrained, Pretrainer, StreamTune, TuneConfig};
 use streamtune_sim::SimCluster;
 use streamtune_workloads::history::{ExecutionRecord, HistoryGenerator};
-use streamtune_workloads::{rates, Workload};
+use streamtune_workloads::{pqp, rates, Workload};
 
 /// The tuning methods compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +264,141 @@ pub fn run_schedule(
         workload: workload.name.clone(),
         changes,
     })
+}
+
+/// Seed of the Fig. 9a recommendation-time measurement.
+pub const RECOMMEND_SEED: u64 = 19;
+
+/// One cell of the Fig. 9a measurement.
+#[derive(Debug, Clone, Serialize)]
+pub struct RecommendRow {
+    /// PQP template family.
+    pub template: String,
+    /// Tuning method.
+    pub method: String,
+    /// Mean wall-clock seconds per tuning iteration.
+    pub avg_recommendation_seconds: f64,
+}
+
+/// The Fig. 9a workload: wall-clock recommendation time of StreamTune,
+/// DS2 and ContTune per tuning iteration on each PQP template family at
+/// 10 × Wu, one fresh tuner and backend per query. The simulated deploys
+/// are effectively free, so the wall clock is the decision path (model
+/// fits and recommendation searches). Prints the table and returns the
+/// rows, template-major in method order.
+pub fn recommendation_times(fast: bool) -> Vec<RecommendRow> {
+    let env = ExperimentEnv::flink(RECOMMEND_SEED, if fast { 48 } else { 80 }, fast);
+    let methods = [
+        Method::StreamTune(ModelKind::Xgboost),
+        Method::Ds2,
+        Method::ContTune,
+    ];
+    let per_template: Vec<(&str, Vec<Workload>)> = vec![
+        ("linear", pqp::linear_queries()),
+        ("2-way-join", pqp::two_way_join_queries()),
+        ("3-way-join", pqp::three_way_join_queries()),
+    ];
+    let queries_per_template = if fast { 3 } else { 8 };
+    let mut rows = Vec::new();
+    let mut table = Vec::new();
+    for (name, queries) in &per_template {
+        let mut cells = vec![name.to_string()];
+        for &m in &methods {
+            let mut total = 0.0;
+            let mut count = 0u32;
+            for w in queries.iter().take(queries_per_template) {
+                let flow = w.at(10.0);
+                let mut backend = env.backend();
+                let mut tuner = env.make_tuner(m);
+                let mut session = TuningSession::new(&mut backend, &flow);
+                let start = Instant::now();
+                let outcome = tuner.tune(&mut session).expect("tuning succeeds");
+                total += start.elapsed().as_secs_f64();
+                count += outcome.iterations.max(1);
+            }
+            let avg = total / f64::from(count.max(1));
+            cells.push(format!("{:.1} ms", avg * 1e3));
+            rows.push(RecommendRow {
+                template: name.to_string(),
+                method: m.name(),
+                avg_recommendation_seconds: avg,
+            });
+        }
+        table.push(cells);
+    }
+    print_table(
+        "Fig. 9a — Average recommendation time per tuning iteration (measured)",
+        &["template", "StreamTune", "DS2", "ContTune"],
+        &table,
+    );
+    rows
+}
+
+/// Seed of the Fig. 9b pre-training cost sweep.
+pub const PRETRAIN_SEED: u64 = 23;
+
+/// One corpus size of the Fig. 9b sweep.
+#[derive(Debug, Clone, Serialize)]
+pub struct PretrainPoint {
+    /// DAG runs in the corpus.
+    pub num_dags: usize,
+    /// Distinct DAG structures among them.
+    pub distinct_structures: usize,
+    /// Clusters the pre-training found.
+    pub clusters: usize,
+    /// Wall-clock seconds of the pre-training run alone.
+    pub seconds: f64,
+}
+
+/// The Fig. 9b workload: time fast-config pre-training on history corpora
+/// of growing size (corpus generation and structure counting are not
+/// timed). Prints the table and returns one point per size, smallest
+/// first.
+pub fn pretraining_costs(fast: bool) -> Vec<PretrainPoint> {
+    use streamtune_dataflow::GraphSignature;
+    use streamtune_ged::{Bound, GedCache, GraphView};
+    let sizes: &[usize] = if fast {
+        &[20, 40, 80]
+    } else {
+        &[50, 100, 200, 400, 800]
+    };
+    let cluster = SimCluster::flink_defaults(PRETRAIN_SEED);
+    let mut points = Vec::new();
+    let mut table = Vec::new();
+    for &n in sizes {
+        let corpus = HistoryGenerator::new(PRETRAIN_SEED)
+            .with_jobs(n / 2)
+            .with_runs_per_job(2)
+            .generate(&cluster);
+        let distinct = {
+            let mut cache = GedCache::new(Bound::LabelSet, 24);
+            for r in &corpus {
+                cache.intern(&GraphView::of(&r.flow), &GraphSignature::of(&r.flow));
+            }
+            cache.len()
+        };
+        let start = Instant::now();
+        let pre = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
+        let seconds = start.elapsed().as_secs_f64();
+        table.push(vec![
+            format!("{}", corpus.len()),
+            format!("{distinct}"),
+            format!("{}", pre.clusters.len()),
+            format!("{seconds:.2}s"),
+        ]);
+        points.push(PretrainPoint {
+            num_dags: corpus.len(),
+            distinct_structures: distinct,
+            clusters: pre.clusters.len(),
+            seconds,
+        });
+    }
+    print_table(
+        "Fig. 9b — Pre-training time vs corpus size (measured)",
+        &["# DAG runs", "distinct", "clusters", "time"],
+        &table,
+    );
+    points
 }
 
 /// Print a fixed-width table.

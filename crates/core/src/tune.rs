@@ -1,7 +1,9 @@
 //! Algorithm 2 — online parallelism tuning.
 //!
 //! Given a pre-trained [`Pretrained`] bundle and a tuning session, the
-//! tuner (1) assigns the target DAG to its nearest cluster, (2) seeds a
+//! tuner (1) takes the target DAG's cluster — [`Tuner::tune`] assigns the
+//! nearest center, [`StreamTune::tune_in_cluster`] takes one the caller
+//! already chose, as the daemon does at admission — (2) seeds a
 //! fine-tuning dataset from the cluster's warm-up points, then (3)
 //! iterates: fit the monotonic model `M_f`, recommend for every operator
 //! (in topological order) the smallest parallelism predicted
@@ -130,8 +132,6 @@ pub struct StreamTune<'a> {
     config: TuneConfig,
     /// Per-cluster first-iteration fits shared with other tuners, if any.
     warm: Option<&'a WarmFits>,
-    /// Cluster the last tuned job was assigned to.
-    pub last_cluster: Option<usize>,
     jobs: std::collections::HashMap<String, JobState>,
 }
 
@@ -286,7 +286,6 @@ impl<'a> StreamTune<'a> {
             pretrained,
             config,
             warm: None,
-            last_cluster: None,
             jobs: std::collections::HashMap::new(),
         }
     }
@@ -356,23 +355,41 @@ impl Tuner for StreamTune<'_> {
         "StreamTune"
     }
 
+    /// Lines 1–2: the nearest cluster, then tune in it.
     fn tune(&mut self, session: &mut TuningSession<'_>) -> Result<TuneOutcome, TuneError> {
+        let cluster = {
+            let mut span = streamtune_telemetry::child_span("core.tune", "assign_cluster");
+            let (cluster, _) = self.pretrained.assign(session.flow());
+            span.add_field("cluster", cluster);
+            cluster
+        };
+        self.tune_in_cluster(session, cluster)
+    }
+}
+
+impl StreamTune<'_> {
+    /// Algorithm 2 from line 3 on: tune the session's job with the encoder
+    /// and warm-up set of `cluster` (an index into
+    /// [`Pretrained::clusters`]). [`Tuner::tune`] is this call after a
+    /// nearest-center assignment.
+    ///
+    /// # Panics
+    ///
+    /// If `cluster` is not a cluster of the tuner's bundle.
+    pub fn tune_in_cluster(
+        &mut self,
+        session: &mut TuningSession<'_>,
+        cluster: usize,
+    ) -> Result<TuneOutcome, TuneError> {
         let flow = session.flow().clone();
         let flow = &flow;
         let p_max = session.max_parallelism();
-        // Lines 1–2: nearest cluster + its encoder.
-        let (cluster_idx, model) = {
-            let mut span = streamtune_telemetry::child_span("core.tune", "assign_cluster");
-            let (cluster_idx, model) = self.pretrained.assign(flow);
-            span.add_field("cluster", cluster_idx);
-            (cluster_idx, model)
-        };
-        self.last_cluster = Some(cluster_idx);
+        let model = &self.pretrained.clusters[cluster];
         // Line 3: warm-up dataset, plus the job's remembered feedback from
         // earlier tuning processes (the persistent fine-tuned layer). The
         // fit set is assembled only when a refit needs it (`fit_set`).
         let warmup = &model.warmup[..model.warmup.len().min(self.config.max_warmup_points)];
-        let embeddings = self.embeddings_inner(session.flow(), cluster_idx);
+        let embeddings = self.embeddings_inner(session.flow(), cluster);
         let demand = streamtune_sim::rates::demand_rates(flow);
         let job_state = self.jobs.entry(flow.name().to_string()).or_default();
         let mut session_feedback: Vec<TrainPoint> = Vec::new();
@@ -416,7 +433,7 @@ impl Tuner for StreamTune<'_> {
                 degrees = vec![1; n_ops];
             } else {
                 let shared = match self.warm {
-                    Some(warm) if memoryless => warm.get_or_fit(cluster_idx, warmup),
+                    Some(warm) if memoryless => warm.get_or_fit(cluster, warmup),
                     _ => None,
                 };
                 let private;
@@ -602,7 +619,25 @@ mod tests {
             outcome.final_assignment
         );
         assert!(outcome.iterations >= 1);
-        assert!(tuner.last_cluster.is_some());
+    }
+
+    #[test]
+    fn tune_is_tune_in_cluster_at_the_nearest_center() {
+        let cluster = SimCluster::flink_defaults(21);
+        let pre = pretrained_on(&cluster, 21, 14);
+        let mut w = nexmark::q1(Engine::Flink);
+        w.set_multiplier(10.0);
+        let run = |placed: Option<usize>| {
+            let mut backend = cluster.clone();
+            let mut session = TuningSession::new(&mut backend, &w.flow);
+            let mut tuner = StreamTune::new(&pre, TuneConfig::default());
+            match placed {
+                Some(c) => tuner.tune_in_cluster(&mut session, c),
+                None => tuner.tune(&mut session),
+            }
+            .expect("tuning succeeds")
+        };
+        assert_eq!(run(Some(pre.assign(&w.flow).0)), run(None));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! The trail is **functional, not telemetry**: capture is always on and
 //! built exclusively from deterministic inputs (per-instance
-//! [`GedCacheStats`](streamtune_ged::GedCacheStats), pure
+//! [`GedCacheStats`](streamtune_ged::GedCacheStats), and the pure
 //! [`center_distances`](streamtune_core::Pretrained::center_distances)
-//! A\* runs that never touch cache memoization), so recording a decision
+//! A\* runs that placed the job at admission and never touch cache
+//! memoization), so recording a decision
 //! can never perturb the decision itself — tuning outcomes with auditing
 //! compiled in are bit-identical to the pre-audit daemon. The only
 //! wall-clock field, `ts_millis`, is observational and never compared.

@@ -2,18 +2,23 @@
 //!
 //! Jobs are *independent by construction*: every job owns its backend
 //! (opened from its spec by [`BackendSpec::open`]) and its own
-//! `StreamTune` fine-tuning state, while the admission-time [`Pretrained`]
-//! corpus is shared read-only. Running a job is therefore a pure function
-//! of `(pretrained, spec)`, which is what makes the worker-pool fan-out
-//! deterministic: any thread count ([`Parallelism`]) and any submission
-//! interleaving produce bit-identical per-job outcomes. The one thing
-//! runs share besides the corpus is [`WarmFits`]: each cluster's
-//! first-iteration model, a deterministic function of the corpus, fitted
-//! by whichever run needs it first.
+//! `StreamTune` fine-tuning state, while the [`Pretrained`] corpus is
+//! shared read-only. A job is placed when it is queued: one
+//! nearest-center GED pass over its flow gives its distance to every
+//! cluster center, and the nearest center is its cluster. The run tunes
+//! in that cluster and copies the distances into its decision record
+//! without a GED pass of its own; a model swap places every job again.
+//! Placement and run are both pure functions of `(pretrained, spec)`,
+//! which is what makes the worker-pool fan-out deterministic: any thread
+//! count ([`Parallelism`]) and any submission interleaving produce
+//! bit-identical per-job outcomes. The one thing runs share besides the
+//! corpus is [`WarmFits`]: each cluster's first-iteration model, a
+//! deterministic function of the corpus, fitted by whichever run needs it
+//! first.
 //!
-//! Execution is batched, not streamed: `submit` only admits (and assigns
-//! the job to its cluster); the first verb that needs results (`status`,
-//! `recommend`, `snapshot`) drains every queued job in one deterministic
+//! Execution is batched, not streamed: `submit` only admits and places
+//! the job; the first verb that needs results (`status`, `recommend`,
+//! `snapshot`) drains every queued job in one deterministic
 //! [`parallel_map`] batch. `cancel` removes a job that has not been
 //! drained yet.
 
@@ -27,7 +32,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use streamtune_backend::{
     ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceEntry, TuneError, TuneOutcome,
-    Tuner, TuningSession,
+    TuningSession,
 };
 use streamtune_connect::{ingest_file, IngestConfig};
 use streamtune_core::{Pretrained, StreamTune, TuneConfig, WarmFits};
@@ -82,7 +87,8 @@ impl JobState {
 pub struct Job {
     /// The submitted spec (re-tunes replace the multiplier in place).
     pub spec: JobSpec,
-    /// Cluster assigned at admission ([`Pretrained::assign`]).
+    /// Cluster whose center is nearest the job's flow under the live
+    /// model: chosen when the job is queued, re-chosen on a model swap.
     pub cluster: usize,
     /// Current lifecycle state.
     pub state: JobState,
@@ -141,13 +147,6 @@ struct RunReport {
     decision: Option<DecisionRecord>,
 }
 
-/// Audit inputs one run carries into its [`DecisionRecord`]: why the run
-/// happened and which model generation is serving it.
-struct AuditCtx {
-    trigger: &'static str,
-    generation: u64,
-}
-
 /// Best-effort text of a panic payload (panics carry `&str` or `String`
 /// in practice).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -158,11 +157,29 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Journal context one run carries: where to append, and the recorded
-/// prefix (non-empty only on the first run after a crash-resume).
-struct JournalCtx {
-    path: PathBuf,
-    prefix: Vec<TraceEntry>,
+/// What admission leaves a queued job for its next drain, which consumes
+/// it. Every queued job has one; a drained or cancelled job has none.
+#[derive(Debug, Default)]
+struct Admission {
+    /// Capped GED from the job's flow to every cluster center of the live
+    /// model, in cluster order; [`Job::cluster`] is its argmin. Copied
+    /// into the run's [`DecisionRecord`].
+    distances: Vec<usize>,
+    /// Journaled epochs recovered at bootstrap, replayed instead of
+    /// re-tuned (empty unless the job resumes a dead process's run).
+    resume: Vec<TraceEntry>,
+}
+
+/// One queued job's run, gathered before the drain fans out: its ledger
+/// position, spec, placement, journal (`None` when journaling is off or
+/// the backend cannot resume) and [`decision::trigger`].
+struct RunInput<'a> {
+    index: usize,
+    spec: &'a JobSpec,
+    cluster: usize,
+    admission: Admission,
+    journal: Option<PathBuf>,
+    trigger: &'static str,
 }
 
 /// Whether a spec's backend is journal/resume-capable: deterministic
@@ -172,38 +189,30 @@ fn journalable(spec: &JobSpec) -> bool {
     matches!(spec.backend, BackendSpec::Sim | BackendSpec::Chaos(_))
 }
 
-/// What every run of one drain shares: the model, its shared warm-up
-/// fits (which change no decision) and the daemon-wide run policy.
+/// What every run of one drain shares: the model and its generation, its
+/// shared warm-up fits (which change no decision) and the daemon-wide run
+/// policy.
 #[derive(Clone, Copy)]
 struct RunEnv<'a> {
     pretrained: &'a Pretrained,
+    generation: u64,
     warm: &'a WarmFits,
     retry: RetryPolicy,
     chaos: Option<u64>,
 }
 
 /// Run one job to completion — a pure function of `(pretrained, spec,
-/// retry)`. `cluster` is the admission-time assignment from
-/// [`JobManager::submit`]. A tuned job pays nearest-center GED three
-/// times: at admission, again inside `StreamTune::tune` (its
-/// `assign_cluster` span), and again for the decision record's
-/// `center_distances` (ROADMAP item 5: compute it once, at admission).
+/// retry)` and the job's placement. The run tunes in the cluster chosen
+/// when the job was queued and copies that placement's center distances
+/// into its decision record: it runs no GED pass of its own.
 ///
 /// Never panics: a panicking backend (e.g. a
 /// [`ChaosBackend`](streamtune_backend::ChaosBackend) crash
 /// epoch) is caught *here*, inside the worker closure, and becomes a
 /// `Failed` state — it must not unwind through [`parallel_map`], which
 /// would take the whole drain (and the server lock) down with it.
-fn run_job(
-    env: RunEnv<'_>,
-    spec: &JobSpec,
-    cluster: usize,
-    journal: Option<JournalCtx>,
-    audit: AuditCtx,
-) -> RunReport {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_inner(env, spec, cluster, journal, audit)
-    })) {
+fn run_job(env: RunEnv<'_>, run: &RunInput<'_>) -> RunReport {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job_inner(env, run))) {
         Ok(report) => report,
         Err(payload) => RunReport {
             state: JobState::Failed(format!(
@@ -216,19 +225,15 @@ fn run_job(
     }
 }
 
-fn run_job_inner(
-    env: RunEnv<'_>,
-    spec: &JobSpec,
-    cluster: usize,
-    journal: Option<JournalCtx>,
-    audit: AuditCtx,
-) -> RunReport {
+fn run_job_inner(env: RunEnv<'_>, run: &RunInput<'_>) -> RunReport {
     let RunEnv {
         pretrained,
+        generation,
         warm,
         retry,
         chaos,
     } = env;
+    let (spec, cluster, admission) = (run.spec, run.cluster, &run.admission);
     let failed = |message: String| RunReport {
         state: JobState::Failed(message),
         retry: RetryStats::default(),
@@ -248,9 +253,10 @@ fn run_job_inner(
     // recommendation is the recorded assignment — and `watch` replays the
     // dump's windows through the drift monitor.
     if let BackendSpec::Ingest(path) = &spec.backend {
+        // A dump that cannot be read fails the job whatever the error:
+        // re-reading a missing or malformed file does not heal it.
         let report = match ingest_file(path, &IngestConfig::default()) {
             Ok(report) => report,
-            Err(e) if e.is_transient() => return degraded(format!("ingest {path}: {e}")),
             Err(e) => return failed(format!("ingest {path}: {e}")),
         };
         // The workload must match the dump's shape: the monitor later
@@ -308,22 +314,22 @@ fn run_job_inner(
     // the live stack; fresh epochs are recorded and fsync'd before the
     // tuner acts on them, so a `kill -9` resumes from the last epoch.
     let mut journaled;
-    let backend: &mut dyn ExecutionBackend = match &journal {
-        Some(ctx) if journalable(spec) => {
+    let backend: &mut dyn ExecutionBackend = match &run.journal {
+        Some(path) => {
             journaled = JournaledBackend::resume(
                 backend.as_mut(),
                 spec,
-                ctx.path.clone(),
-                ctx.prefix.clone(),
+                path.clone(),
+                admission.resume.clone(),
             );
             &mut journaled
         }
-        _ => backend.as_mut(),
+        None => backend.as_mut(),
     };
     let mut session = TuningSession::new(backend, &flow).with_retry(retry);
     let result = {
         let _span = streamtune_telemetry::child_span("serve.job", "tune");
-        tuner.tune(&mut session)
+        tuner.tune_in_cluster(&mut session, cluster)
     };
     let retry = session.retry_stats();
     // Every total the session deployed, in order; all but the last are
@@ -339,7 +345,7 @@ fn run_job_inner(
             let view = streamtune_ged::GraphView::of(&flow);
             let decision = DecisionRecord {
                 job: spec.name.clone(),
-                trigger: audit.trigger.to_string(),
+                trigger: run.trigger.to_string(),
                 query: spec.query.clone(),
                 multiplier: spec.multiplier,
                 seed: spec.seed,
@@ -352,12 +358,8 @@ fn run_job_inner(
                 cluster: cluster as u64,
                 clusters: pretrained.clusters.len() as u64,
                 global_fallback: pretrained.global_fallback,
-                center_distances: pretrained
-                    .center_distances(&flow)
-                    .into_iter()
-                    .map(|d| d as u64)
-                    .collect(),
-                model_generation: audit.generation,
+                center_distances: admission.distances.iter().map(|&d| d as u64).collect(),
+                model_generation: generation,
                 // Cache provenance is daemon-wide, not per-run: the server
                 // fills these in post-drain via `annotate_cache`.
                 cache_lookups: 0,
@@ -460,9 +462,9 @@ pub struct JobManager {
     /// Where per-job epoch journals live (`None` disables journaling —
     /// in-memory daemons and unit tests).
     journal_dir: Option<PathBuf>,
-    /// Journaled prefixes recovered at bootstrap, consumed by the next
-    /// drain of the matching job so it replays instead of re-tuning.
-    resume: HashMap<String, Vec<TraceEntry>>,
+    /// Each queued job's [`Admission`], by job name, consumed by the drain
+    /// that runs the job.
+    admissions: HashMap<String, Admission>,
     /// Model-store generation: 0 for the bootstrap model, bumped on every
     /// [`JobManager::swap_pretrained`]. Stamped into decision records so
     /// `explain` can tell which model served a recommendation.
@@ -488,7 +490,7 @@ impl JobManager {
             index: NameIndex::default(),
             op_lists: HashSet::new(),
             journal_dir: None,
-            resume: HashMap::new(),
+            admissions: HashMap::new(),
             generation: 0,
             decisions: Vec::new(),
             annotated: 0,
@@ -528,16 +530,6 @@ impl JobManager {
         }
     }
 
-    /// Start (or restart) `spec`'s journal: a fresh header, no entries.
-    /// Best-effort — a journal that cannot be written must never block
-    /// admission; the job simply runs unjournaled.
-    fn start_journal(&mut self, spec: &JobSpec) {
-        self.resume.remove(&spec.name);
-        if let Some(path) = self.journal_path(spec) {
-            let _ = crate::journal::create_journal(&path, spec);
-        }
-    }
-
     /// The shared pre-trained corpus.
     pub fn pretrained(&self) -> &Pretrained {
         &self.pretrained
@@ -563,17 +555,70 @@ impl JobManager {
         self.index.find(&self.jobs, name)
     }
 
-    /// Append a queued job to the ledger (its name must be free).
-    fn admit(&mut self, spec: JobSpec, cluster: usize, trigger: &'static str) {
-        self.index.insert(&spec.name, self.jobs.len());
-        self.jobs.push(Job {
-            spec,
-            cluster,
-            state: JobState::Queued,
-            retunes: 0,
-            retry: None,
-            trigger,
-        });
+    /// Place `spec` on the live model: the one nearest-center GED pass a
+    /// queued job gets. Returns the cluster — the argmin of the distances,
+    /// ties going to the lower index as in [`Pretrained::assign`] — and
+    /// the distances.
+    fn place(&self, spec: &JobSpec) -> Result<(usize, Vec<usize>), ServeError> {
+        let workload =
+            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
+                query: spec.query.clone(),
+            })?;
+        let mut span = streamtune_telemetry::child_span("serve.job", "assign_cluster");
+        let distances = self
+            .pretrained
+            .center_distances(&workload.at(spec.multiplier));
+        let (cluster, _) = distances
+            .iter()
+            .enumerate()
+            .min_by_key(|&(c, &d)| (d, c))
+            .expect("a model has at least one cluster");
+        span.add_field("cluster", cluster);
+        Ok((cluster, distances))
+    }
+
+    /// Place `spec` and queue it: in place of the job at `at` (a re-run,
+    /// counted as a re-tune) or as a new job (its name must be free).
+    /// `resume` is `None` for a fresh run, which starts a new journal —
+    /// best-effort: a journal that cannot be written never blocks
+    /// admission, the job runs unjournaled — and the recovered prefix for
+    /// a run resumed from a dead process's journal, which is kept.
+    fn enqueue(
+        &mut self,
+        spec: JobSpec,
+        at: Option<usize>,
+        trigger: &'static str,
+        resume: Option<Vec<TraceEntry>>,
+    ) -> Result<usize, ServeError> {
+        let (cluster, distances) = self.place(&spec)?;
+        if let (None, Some(path)) = (&resume, self.journal_path(&spec)) {
+            let _ = crate::journal::create_journal(&path, &spec);
+        }
+        let resume = resume.unwrap_or_default();
+        self.admissions
+            .insert(spec.name.clone(), Admission { distances, resume });
+        match at {
+            Some(i) => {
+                let job = &mut self.jobs[i];
+                job.spec = spec;
+                job.cluster = cluster;
+                job.state = JobState::Queued;
+                job.retunes += 1;
+                job.trigger = trigger;
+            }
+            None => {
+                self.index.insert(&spec.name, self.jobs.len());
+                self.jobs.push(Job {
+                    spec,
+                    cluster,
+                    state: JobState::Queued,
+                    retunes: 0,
+                    retry: None,
+                    trigger,
+                });
+            }
+        }
+        Ok(cluster)
     }
 
     /// `state` with its operator-name list replaced by the shared copy.
@@ -597,69 +642,51 @@ impl JobManager {
             .count()
     }
 
-    /// Admit a job: validate its workload, assign it to its cluster, and
-    /// queue it. Returns the assigned cluster.
+    /// Admit a job: validate its workload, place it (its cluster and the
+    /// distances to every center, the job's one GED pass), start its
+    /// journal and queue it. Returns the cluster.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
         if self.position(&spec.name).is_some() {
             return Err(ServeError::DuplicateJob { name: spec.name });
         }
-        let workload =
-            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
-                query: spec.query.clone(),
-            })?;
-        let flow = workload.at(spec.multiplier);
-        let (cluster, _) = self.pretrained.assign(&flow);
-        self.start_journal(&spec);
-        self.admit(spec, cluster, decision::trigger::SUBMIT);
-        Ok(cluster)
+        self.enqueue(spec, None, decision::trigger::SUBMIT, None)
     }
 
     /// Re-tune an existing job in place: replace its spec (typically the
-    /// same job at a shifted multiplier), re-assign its cluster, and queue
-    /// it again. The next drain runs it exactly like a fresh submission —
-    /// a pure function of `(pretrained, spec)` — so an automatic re-tune
-    /// is bit-identical to manually re-submitting at the new rate.
+    /// same job at a shifted multiplier), place it again and queue it.
+    /// The run is a fresh one under a new spec — a new journal, no
+    /// recovered prefix — so the next drain runs it exactly like a fresh
+    /// submission, and an automatic re-tune is bit-identical to manually
+    /// re-submitting at the new rate.
     pub fn resubmit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
         let i = self
             .position(&spec.name)
             .ok_or_else(|| ServeError::UnknownJob {
                 name: spec.name.clone(),
             })?;
-        let workload =
-            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
-                query: spec.query.clone(),
-            })?;
-        let flow = workload.at(spec.multiplier);
-        let (cluster, _) = self.pretrained.assign(&flow);
-        // A re-tune is a fresh run under a new spec: any journal (and any
-        // recovered prefix) from the previous run is stale by definition.
-        self.start_journal(&spec);
-        let job = &mut self.jobs[i];
-        job.spec = spec;
-        job.cluster = cluster;
-        job.state = JobState::Queued;
-        job.retunes += 1;
-        job.trigger = decision::trigger::RETUNE;
-        Ok(cluster)
+        self.enqueue(spec, Some(i), decision::trigger::RETUNE, None)
     }
 
     /// Swap in a new pre-trained corpus (e.g. after an incremental warm
-    /// re-pretrain on a grown corpus) and re-assign every job to its
-    /// nearest cluster under the new model. Completed results are kept —
-    /// they were computed under the model of their epoch — but their
-    /// cluster labels now reflect the live model. Returns how many jobs
-    /// changed cluster.
+    /// re-pretrain on a grown corpus) and place every job again under the
+    /// new model, queued jobs' center distances included, so their runs
+    /// tune and record under the model that serves them. Completed
+    /// results are kept — they were computed under the model of their
+    /// epoch — but their cluster labels now reflect the live model.
+    /// Returns how many jobs changed cluster.
     pub fn swap_pretrained(&mut self, pretrained: Pretrained) -> usize {
         self.warm = WarmFits::new(&pretrained, &TuneConfig::default());
         self.pretrained = pretrained;
         self.generation += 1;
         let mut changed = 0;
-        for job in &mut self.jobs {
-            let Some(workload) = find_workload(&job.spec.query, job.spec.engine) else {
+        for i in 0..self.jobs.len() {
+            let Ok((cluster, distances)) = self.place(&self.jobs[i].spec) else {
                 continue;
             };
-            let flow = workload.at(job.spec.multiplier);
-            let (cluster, _) = self.pretrained.assign(&flow);
+            let job = &mut self.jobs[i];
+            if let Some(admission) = self.admissions.get_mut(&job.spec.name) {
+                admission.distances = distances;
+            }
             if cluster != job.cluster {
                 job.cluster = cluster;
                 changed += 1;
@@ -716,6 +743,7 @@ impl JobManager {
         match self.jobs[i].state {
             JobState::Queued => {
                 self.jobs[i].state = JobState::Cancelled;
+                self.admissions.remove(name);
                 Ok(())
             }
             ref other => Err(ServeError::NotQueued {
@@ -730,67 +758,44 @@ impl JobManager {
     /// the shared corpus and its own spec, so any [`Parallelism`] and any
     /// prior submission interleaving yield identical per-job states.
     pub fn drain(&mut self) {
-        let queued: Vec<(usize, JobSpec, usize, &'static str)> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.state == JobState::Queued)
-            .map(|(i, j)| (i, j.spec.clone(), j.cluster, j.trigger))
-            .collect();
-        if queued.is_empty() {
+        // Each queued job's run inputs, consuming its admission.
+        let mut runs = Vec::new();
+        for (index, job) in self.jobs.iter().enumerate() {
+            if job.state == JobState::Queued {
+                runs.push(RunInput {
+                    index,
+                    spec: &job.spec,
+                    cluster: job.cluster,
+                    admission: self.admissions.remove(&job.spec.name).unwrap_or_default(),
+                    journal: self.journal_path(&job.spec),
+                    trigger: job.trigger,
+                });
+            }
+        }
+        if runs.is_empty() {
             return;
         }
-        // Attach each job's journal context up front: the path (if
-        // journaling is on) plus any crash-recovered prefix, consumed
-        // exactly once. `JournalCtx` is not `Clone`, so the worker closure
-        // takes it by interior move via a per-item `Option` slot.
-        type Pending = (
-            usize,
-            JobSpec,
-            usize,
-            &'static str,
-            std::sync::Mutex<Option<JournalCtx>>,
-        );
-        let pending: Vec<Pending> = queued
-            .into_iter()
-            .map(|(i, spec, cluster, trigger)| {
-                let ctx = self.journal_path(&spec).map(|path| JournalCtx {
-                    path,
-                    prefix: self.resume.remove(&spec.name).unwrap_or_default(),
-                });
-                (i, spec, cluster, trigger, std::sync::Mutex::new(ctx))
-            })
-            .collect();
         let env = RunEnv {
             pretrained: &self.pretrained,
+            generation: self.generation,
             warm: &self.warm,
             retry: self.retry,
             chaos: self.chaos,
         };
-        let generation = self.generation;
         // One span covers the whole batch; its context is re-attached
         // inside every worker so per-job spans nest under it even when
         // they run on pool threads.
         let mut drain_span = streamtune_telemetry::child_span("serve.job", "drain");
-        drain_span.add_field("queued", pending.len());
+        drain_span.add_field("queued", runs.len());
         let drain_ctx = drain_span.ctx();
-        let results = parallel_map(
-            self.parallelism,
-            &pending,
-            |(_, spec, cluster, trigger, journal)| {
-                let _attached = streamtune_telemetry::trace::attach(drain_ctx);
-                let mut job_span =
-                    streamtune_telemetry::child_span("serve.job", format!("run_job:{}", spec.name));
-                job_span.add_field("query", &spec.query);
-                let journal = journal.lock().map(|mut slot| slot.take()).unwrap_or(None);
-                let audit = AuditCtx {
-                    trigger,
-                    generation,
-                };
-                run_job(env, spec, *cluster, journal, audit)
-            },
-        );
-        for ((i, _, _, _, _), report) in pending.into_iter().zip(results) {
+        let results = parallel_map(self.parallelism, &runs, |run| {
+            let _attached = streamtune_telemetry::trace::attach(drain_ctx);
+            let mut job_span =
+                streamtune_telemetry::child_span("serve.job", format!("run_job:{}", run.spec.name));
+            job_span.add_field("query", &run.spec.query);
+            (run.index, run_job(env, run))
+        });
+        for (i, report) in results {
             self.jobs[i].state = self.interned(report.state);
             if report.retry != RetryStats::default() {
                 self.jobs[i]
@@ -938,7 +943,8 @@ impl JobManager {
             match self.position(&loaded.spec.name) {
                 Some(i) if self.jobs[i].spec == loaded.spec => {
                     if self.jobs[i].state == JobState::Queued {
-                        self.resume.insert(loaded.spec.name.clone(), loaded.entries);
+                        self.admissions.entry(loaded.spec.name).or_default().resume =
+                            loaded.entries;
                         resumed += 1;
                     } else {
                         // The run this journal recorded finished and its
@@ -949,9 +955,13 @@ impl JobManager {
                 at => {
                     // The ledger never saw this (version of the) job: the
                     // process died after admitting it but before any
-                    // snapshot. Re-admit under the journaled spec.
-                    if self.readmit(loaded.spec.clone(), at).is_ok() {
-                        self.resume.insert(loaded.spec.name, loaded.entries);
+                    // snapshot. Re-admit under the journaled spec, keeping
+                    // the journal and its recorded epochs.
+                    let resume = Some(loaded.entries);
+                    if self
+                        .enqueue(loaded.spec, at, decision::trigger::RESUME, resume)
+                        .is_ok()
+                    {
                         resumed += 1;
                     } else {
                         let _ = std::fs::remove_file(&path);
@@ -960,30 +970,6 @@ impl JobManager {
             }
         }
         resumed
-    }
-
-    /// Queue `spec` without touching its journal (recovery path): a fresh
-    /// admission when `at` is `None`, an in-place spec replacement (the
-    /// interrupted run was a re-submit) otherwise.
-    fn readmit(&mut self, spec: JobSpec, at: Option<usize>) -> Result<(), ServeError> {
-        let workload =
-            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
-                query: spec.query.clone(),
-            })?;
-        let flow = workload.at(spec.multiplier);
-        let (cluster, _) = self.pretrained.assign(&flow);
-        match at {
-            Some(i) => {
-                let job = &mut self.jobs[i];
-                job.spec = spec;
-                job.cluster = cluster;
-                job.state = JobState::Queued;
-                job.retunes += 1;
-                job.trigger = decision::trigger::RESUME;
-            }
-            None => self.admit(spec, cluster, decision::trigger::RESUME),
-        }
-        Ok(())
     }
 
     /// Delete journals that no longer back a queued job. Called after a
@@ -1329,6 +1315,39 @@ mod tests {
         mgr.swap_pretrained(swapped);
         assert_eq!(mgr.job("a").unwrap().cluster, expected);
         assert!(matches!(mgr.job("a").unwrap().state, JobState::Done(_)));
+    }
+
+    #[test]
+    fn a_job_queued_across_a_model_swap_runs_on_the_new_placement() {
+        let mut mgr = JobManager::new(small_pretrained(3), Parallelism::Serial);
+        mgr.submit(spec("q", "nexmark-q5", 1)).unwrap();
+        let flow = find_workload("nexmark-q5", Engine::Flink).unwrap().at(8.0);
+        // A model pre-trained on a larger corpus has other centers.
+        let swapped = {
+            let cluster = SimCluster::flink_defaults(4);
+            let corpus = HistoryGenerator::new(4).with_jobs(20).generate(&cluster);
+            Pretrainer::new(PretrainConfig::fast()).run(&corpus)
+        };
+        let distances = swapped.center_distances(&flow);
+        let nearest = distances.iter().min().unwrap();
+        let cluster = distances.iter().position(|d| d == nearest).unwrap();
+        assert_ne!(mgr.pretrained().center_distances(&flow), distances);
+        assert_ne!(mgr.job("q").unwrap().cluster, cluster);
+        mgr.swap_pretrained(swapped);
+        mgr.drain();
+        let record = mgr.decision_for("q").expect("the run was recorded");
+        assert_eq!(record.model_generation, 1);
+        assert_eq!(record.cluster, cluster as u64);
+        let recorded: Vec<usize> = record
+            .center_distances
+            .iter()
+            .map(|&d| d as usize)
+            .collect();
+        assert_eq!(recorded, distances);
+        match &mgr.job("q").unwrap().state {
+            JobState::Done(r) => assert_eq!(r.cluster, cluster),
+            other => panic!("expected Done, got {other:?}"),
+        }
     }
 
     fn temp_journal_dir(name: &str) -> PathBuf {

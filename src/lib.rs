@@ -132,8 +132,11 @@
 //! (excess connections are shed with a structured `overloaded` +
 //! retry-after response) and a per-request deadline; a client
 //! disconnecting (cleanly or mid-line) never takes the daemon down. Many named jobs share the one
-//! pre-trained corpus: each is assigned to its cluster at admission
-//! ([`Pretrained::assign`](core::Pretrained::assign)) and runs against
+//! pre-trained corpus: each is placed once, at admission — its GED to
+//! every cluster center
+//! ([`Pretrained::center_distances`](core::Pretrained::center_distances)),
+//! whose nearest center picks the cluster its tune and its audit record
+//! reuse — and runs against
 //! its *own* backend on the deterministic
 //! [`Parallelism`](ged::Parallelism) worker pool, so any thread count and
 //! any submission interleaving produce bit-identical per-job outcomes

@@ -11,7 +11,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use streamtune::backend::{ChaosBackend, ExecutionBackend, FaultPlan, RetryStats, TuningSession};
+use streamtune::backend::{
+    ChaosBackend, ExecutionBackend, FaultPlan, ReplayBackend, RetryStats, TraceRecorder,
+    TuningSession,
+};
 use streamtune::core::Parallelism;
 use streamtune::dataflow::ParallelismAssignment;
 use streamtune::monitor::{DriftEvent, Monitor, MonitorConfig, WatchSpec};
@@ -147,6 +150,43 @@ fn retry_traces_replay_identically_at_the_session_level() {
         assert!(first_stats.transient_faults > 0);
         assert!(first_stats.retries > 0);
     }
+}
+
+#[test]
+fn nan_faults_over_a_replayed_trace_are_absorbed() {
+    // A replayed trace serves each recorded deployment once, so a retry
+    // after a NaN-corrupted reply must be answered from the clean report
+    // the corruption hid, not from a second lookup in the trace.
+    let pre = pretrained(5);
+    let flow = streamtune::workloads::find_workload("pqp-linear-3", Engine::Flink)
+        .expect("named workload")
+        .at(12.0);
+    let tune = |backend: &mut dyn ExecutionBackend| {
+        let mut tuner = StreamTune::new(&pre, TuneConfig::default());
+        let mut session = TuningSession::new(backend, &flow);
+        let outcome = tuner.tune(&mut session);
+        (outcome, session.retry_stats())
+    };
+    let mut recorder = TraceRecorder::new(SimCluster::flink_defaults(5));
+    let recorded = tune(&mut recorder).0.expect("the recorded tune succeeds");
+    let log = recorder.into_log();
+    let (plain, _) = tune(&mut ReplayBackend::new(log.clone()));
+    assert_eq!(plain.expect("a plain replay succeeds"), recorded);
+    let mut nan_faults = 0;
+    for seed in chaos_seeds() {
+        let mut plan = FaultPlan::transient(seed);
+        plan.nan_rate = 0.9;
+        let mut chaos = ChaosBackend::new(ReplayBackend::new(log.clone()), plan);
+        let (faulted, retry) = tune(&mut chaos);
+        assert_eq!(
+            faulted.as_ref().ok(),
+            Some(&recorded),
+            "seed {seed}: NaN faults over a replay changed the outcome: {faulted:?}"
+        );
+        assert_eq!(retry.exhausted, 0, "seed {seed}: budget must suffice");
+        nan_faults += chaos.counters().nan_observations;
+    }
+    assert!(nan_faults > 0, "the plans must inject NaN observations");
 }
 
 fn tiny_server() -> Server {

@@ -1,7 +1,8 @@
 //! The flight recorder, end to end: a `recommend` request served over TCP
 //! leaves a complete causal span tree (dispatch → lock wait → handler →
 //! drain → per-job run → tune → backend deploy) retrievable via the
-//! `trace` verb; the Chrome trace-event export is structurally valid
+//! `trace` verb, and the job's one nearest-center GED pass shows in its
+//! `submit` trace, not in the tune; the Chrome trace-event export is structurally valid
 //! Perfetto input; `explain` reproduces a job's decision audit record
 //! bit-for-bit across a daemon restart; and the `metrics_history` verb
 //! serves ordered frames of registry deltas.
@@ -127,7 +128,7 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     let addr = listener.local_addr().expect("local addr");
     let server = Mutex::new(server_with(None));
 
-    let payload = std::thread::scope(|scope| {
+    let (submit_payload, payload) = std::thread::scope(|scope| {
         let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
         let mut client = Client::connect(addr);
         assert!(matches!(
@@ -141,6 +142,11 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
             client.request("{\"recommend\": {\"job\": \"flight\"}}"),
             Response::Recommendation(_)
         ));
+        let Response::Trace(submit_payload) =
+            client.request("{\"trace\": {\"label\": \"submit\"}}")
+        else {
+            panic!("expected trace response");
+        };
         let Response::Trace(payload) = client.request("{\"trace\": {\"label\": \"recommend\"}}")
         else {
             panic!("expected trace response");
@@ -154,7 +160,7 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
             .join()
             .expect("daemon thread")
             .expect("daemon exits cleanly");
-        payload
+        (submit_payload, payload)
     });
 
     // The recorder was on and saw the request.
@@ -169,12 +175,31 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     );
     let spans = flatten_spans(trace);
 
+    // The job is placed once, at admission: the nearest-center GED pass
+    // runs under the submit handler and nowhere on the tune path.
+    let submit_trace = submit_payload
+        .field("trace")
+        .expect("a complete submit trace");
+    let submit_spans = flatten_spans(submit_trace);
+    let placements: Vec<&FlatSpan> = submit_spans
+        .iter()
+        .filter(|s| s.name == "assign_cluster")
+        .collect();
+    assert_eq!(placements.len(), 1, "one GED placement per submit");
+    let handle_submit = find(&submit_spans, "handle:submit");
+    assert_eq!(placements[0].parent, Some(handle_submit.id));
+    assert_eq!(placements[0].target, "serve.job");
+    assert!(
+        !spans.iter().any(|s| s.name == "assign_cluster"),
+        "the tune reuses the admission placement: {spans:?}"
+    );
+
     // The causal chain of one recommend request, root to leaf: the TCP
     // dispatcher's root span, the wait for the daemon lock (a *sibling*
     // of the handler — the handler's time must not be billed to the
     // wait), the handler, the job drain, the per-job worker (stitched
-    // across the thread hop), the tuner, and inside it the model's
-    // cluster assignment, the `M_f` fit and the backend deploys.
+    // across the thread hop), the tuner, and inside it the `M_f` fit and
+    // the backend deploys.
     let dispatch = find(&spans, "dispatch");
     assert_eq!(dispatch.parent, None, "dispatch is the root");
     assert_eq!(dispatch.target, "serve.dispatch");
@@ -189,9 +214,6 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     assert_eq!(run.parent, Some(drain.id), "worker span stitches to drain");
     let tune = find(&spans, "tune");
     assert_eq!(tune.parent, Some(run.id));
-    let assign = find(&spans, "assign_cluster");
-    assert_eq!(assign.parent, Some(tune.id), "GNN path hangs off the tuner");
-    assert_eq!(assign.target, "core.tune");
     // The daemon's first job of a cluster fills the shared warm-up fit.
     let fit = find(&spans, "fit");
     assert_eq!(fit.parent, Some(tune.id));

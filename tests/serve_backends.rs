@@ -9,6 +9,8 @@
 //!   deployment and can be watched; a workload whose operator count does
 //!   not match the dump ends `failed`;
 //! * `replay` — a recorded trace tunes, but cannot be watched live;
+//! * a recording that cannot be read — a missing `ingest` dump or
+//!   `replay` trace — ends `failed`: re-reading it does not heal it;
 //! * the daemon-wide chaos drill wraps `sim` tuning runs only: the spec,
 //!   the decision record and the watch poll stay plain `sim`.
 
@@ -207,6 +209,24 @@ fn ingest_job_with_a_mismatched_workload_fails() {
             "detail names the mismatch: {message}"
         ),
         other => panic!("expected failed, got {other:?}"),
+    }
+}
+
+#[test]
+fn unreadable_recordings_fail_the_job() {
+    let mut server = server();
+    for (name, backend) in [
+        ("dump", BackendSpec::Ingest("/no/such.jsonl".to_string())),
+        ("trace", BackendSpec::Replay("/no/such.json".to_string())),
+    ] {
+        submit(&mut server, spec(name, "pqp-2way-0", 1.0, 21, backend));
+        match state_of(&mut server, name) {
+            JobState::Failed(message) => assert!(
+                message.contains("/no/such"),
+                "detail names the path: {message}"
+            ),
+            other => panic!("{name}: expected failed, got {other:?}"),
+        }
     }
 }
 
