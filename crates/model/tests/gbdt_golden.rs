@@ -3,9 +3,11 @@
 //! Each case fits the GBDT on a seeded synthetic dataset and hashes the
 //! serialized model (FNV-1a 64 of `serde_json::to_string`). The expected
 //! hashes in `golden/gbdt_fit.txt` were recorded with the per-node-sort
-//! split search, so any change to candidate order, summation order, tie
-//! handling or leaf clamping shows up as a hash mismatch. To re-record
-//! after an intended change, copy the `actual` table from the failure.
+//! split search (the `d34` cases, at the daemon's input dimension, with
+//! the row-major presorted search that replaced it), so any change to
+//! candidate order, summation order, tie handling or leaf clamping shows
+//! up as a hash mismatch. To re-record after an intended change, copy the
+//! `actual` table from the failure.
 
 use streamtune_model::{BottleneckClassifier, GbdtConfig, MonotonicGbdt, TrainPoint};
 
@@ -62,7 +64,24 @@ struct Case {
     /// 10 times in a row as the tuner does.
     feedback: usize,
     labels: Labels,
+    /// Column edits applied to every point after the dataset is drawn.
+    columns: Columns,
     config: GbdtConfig,
+}
+
+/// Column shapes the daemon's embeddings produce and the split search
+/// must treat exactly: dead ReLU units, a column that is constant on one
+/// side of a parallelism split, and signed zeros.
+#[derive(Clone, Copy, Default)]
+struct Columns {
+    /// Embedding columns `5..5 + dead` read `0.0` for every point.
+    dead: usize,
+    /// Embedding column 3 reads `0.25` for every point with parallelism at
+    /// most 30 and keeps its drawn value above.
+    low_p_constant: bool,
+    /// Embedding column 4 reads `-0.0` or `0.0` (by point index parity)
+    /// wherever its drawn value is below one half.
+    signed_zeros: bool,
 }
 
 impl Case {
@@ -75,6 +94,7 @@ impl Case {
             levels: None,
             feedback: 0,
             labels: Labels::Mixed,
+            columns: Columns::default(),
             config: GbdtConfig::default(),
         }
     }
@@ -110,13 +130,25 @@ impl Case {
             let p = self.point(&mut rng);
             data.extend(std::iter::repeat_n(p, 10));
         }
+        let cols = self.columns;
+        for (i, p) in data.iter_mut().enumerate() {
+            if cols.dead > 0 {
+                p.embedding[5..5 + cols.dead].fill(0.0);
+            }
+            if cols.low_p_constant && p.parallelism <= 30 {
+                p.embedding[3] = 0.25;
+            }
+            if cols.signed_zeros && p.embedding[4] < 0.5 {
+                p.embedding[4] = if i % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        }
         data
     }
 }
 
 fn cases() -> Vec<Case> {
     let mut cases = Vec::new();
-    // Every input dimension the tuner can produce, continuous values.
+    // Small input dimensions, continuous values.
     for d in 1..=18 {
         cases.push(Case::new(
             format!("cont-d{d}"),
@@ -222,6 +254,51 @@ fn cases() -> Vec<Case> {
         c.levels = (k % 2 == 0).then_some(4);
         c.feedback = 3;
         c.config = config;
+        cases.push(c);
+    }
+    // The daemon's input dimension: a 32-wide encoder, the rate feature
+    // and the parallelism. Warm-up alone, and warm-up plus feedback.
+    cases.push(Case::new("daemon-d34", 700, 34, 198));
+    let mut c = Case::new("daemon-replicated-d34", 701, 34, 250);
+    c.feedback = 6;
+    cases.push(c);
+    // Columns that are constant over a node's points: the scan has no
+    // candidate there, at the root or below a parallelism split.
+    let edits = [
+        (
+            "dead3",
+            Columns {
+                dead: 3,
+                ..Columns::default()
+            },
+        ),
+        (
+            "low-p-constant",
+            Columns {
+                low_p_constant: true,
+                ..Columns::default()
+            },
+        ),
+        (
+            "signed-zeros",
+            Columns {
+                signed_zeros: true,
+                ..Columns::default()
+            },
+        ),
+        (
+            "all-edits",
+            Columns {
+                dead: 3,
+                low_p_constant: true,
+                signed_zeros: true,
+            },
+        ),
+    ];
+    for (k, (tag, columns)) in edits.into_iter().enumerate() {
+        let mut c = Case::new(format!("{tag}-d34"), 710 + k as u64, 34, 250);
+        c.feedback = 6;
+        c.columns = columns;
         cases.push(c);
     }
     cases
