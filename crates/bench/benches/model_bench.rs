@@ -9,10 +9,11 @@ use streamtune_model::{
     NnClassifier, NnConfig, SvmConfig, TrainPoint,
 };
 
-/// Synthetic warm-up-shaped dataset: thresholds varying with a 17-dim
-/// embedding (16 hidden dims + rate feature).
-fn dataset(points: usize) -> Vec<TrainPoint> {
-    let mut out = Vec::with_capacity(points);
+/// Daemon-shaped `M_f` training set: `warmup` points over a 33-wide
+/// embedding (a 32-unit encoder with 3 dead ReLU units, plus the rate
+/// feature), then `feedback` points each pushed 10 times, as a tune's
+/// second-iteration refit builds it. Model input dimension 34.
+fn dataset(warmup: usize, feedback: usize) -> Vec<TrainPoint> {
     let mut state = 0x5EEDu64;
     let mut next = move || {
         state ^= state << 13;
@@ -20,25 +21,35 @@ fn dataset(points: usize) -> Vec<TrainPoint> {
         state ^= state << 17;
         state
     };
-    for _ in 0..points {
+    let mut point = || {
         let rate = (next() % 1000) as f64 / 1000.0;
         let kind = (next() % 4) as f64 / 4.0;
         let threshold = 1.0 + 40.0 * rate * (0.5 + kind);
         let p = 1 + (next() % 60) as u32;
-        let mut embedding = vec![kind; 16];
+        let mut embedding: Vec<f64> = (0..32)
+            .map(|u| match u {
+                0..=2 => 0.0, // dead ReLU units
+                _ => kind * (next() % 1000) as f64 / 1000.0,
+            })
+            .collect();
         embedding.push(rate);
-        out.push(TrainPoint {
+        TrainPoint {
             embedding,
             parallelism: p,
             bottleneck: f64::from(p) < threshold,
-        });
+        }
+    };
+    let mut out: Vec<TrainPoint> = (0..warmup).map(|_| point()).collect();
+    for _ in 0..feedback {
+        let p = point();
+        out.extend(std::iter::repeat_n(p, 10));
     }
     out
 }
 
 fn bench_fit(c: &mut Criterion) {
-    let data = dataset(300);
-    let mut group = c.benchmark_group("model_fit_300pts");
+    let data = dataset(250, 6);
+    let mut group = c.benchmark_group("model_fit_d34_310pts");
     group.sample_size(10);
     group.bench_function("svm", |b| {
         b.iter(|| {
@@ -68,7 +79,7 @@ fn bench_fit(c: &mut Criterion) {
 }
 
 fn bench_recommend(c: &mut Criterion) {
-    let data = dataset(300);
+    let data = dataset(250, 6);
     let mut svm = MonotonicSvm::new(SvmConfig::default());
     svm.fit(&data);
     let mut gbdt = MonotonicGbdt::new(GbdtConfig::default());

@@ -14,16 +14,25 @@
 //!   `[lo, m]`, so the order holds across the whole ensemble.
 //!
 //! Split search is XGBoost's exact greedy algorithm over presorted
-//! columns (Chen & Guestrin, KDD'16). Each fit sorts the point indices
-//! once per feature, stably by value, so ties fall in point-index order;
-//! values are read from the training points in place, with no per-row
-//! input copy. Every tree node owns one contiguous range of that order
-//! per feature, plus a range of its point indices in ascending order; a
-//! chosen split stably partitions the node's ranges into its children's. The result is bit-identical to sorting each
-//! node's points per feature: a stable sort by value then index,
-//! filtered to a node's points, *is* that node's stable sort, so the scan
-//! visits the same candidates in the same order with the same running
-//! sums, and the gradient sums still run in ascending index order.
+//! columns (Chen & Guestrin, KDD'16). Each fit copies the feature values
+//! into one column-major matrix (`cols[f·n + i]`), which the presort, the
+//! scan and the partitions read, and sorts the point indices once per
+//! feature, stably by value, so ties fall in point-index order. Every
+//! tree node owns one contiguous range of that order per feature, plus a
+//! range of its point indices in ascending order; a chosen split
+//! evaluates `value ≤ threshold` once per point into a mask and stably
+//! partitions the node's ranges into its children's by it. The result is
+//! bit-identical to sorting each node's points per feature: a stable sort
+//! by value then index, filtered to a node's points, *is* that node's
+//! stable sort, so the scan visits the same candidates in the same order
+//! with the same running sums, and the gradient sums still run in
+//! ascending index order.
+//!
+//! A feature that takes one value over a node's points (a dead ReLU unit,
+//! or a column constant on one side of an earlier split) offers no
+//! candidate, so the scan skips it and the split leaves its order
+//! unpartitioned; see `node_constant` for why that stays exact, signed
+//! zeros included.
 
 use crate::{BottleneckClassifier, TrainPoint};
 use serde::{Deserialize, Serialize};
@@ -116,10 +125,12 @@ pub struct MonotonicGbdt {
 /// Per-fit split-search workspace. Each column is sorted once per fit;
 /// every node owns one contiguous range, at the same offsets, in `rows`
 /// and in each feature's slice of `order`.
-struct Presorted<'d> {
-    data: &'d [TrainPoint],
+struct Presorted {
     n: usize,
     dim: usize,
+    /// Feature values, column-major: feature `f` of point `i` is at
+    /// `f * n + i`.
+    cols: Vec<f64>,
     /// Per feature, the point indices stably sorted by value (ties by index).
     sorted: Vec<u32>,
     /// Working copy of `sorted`, reset per tree and stably partitioned per
@@ -127,12 +138,14 @@ struct Presorted<'d> {
     order: Vec<u32>,
     /// Point indices, ascending within each node's range.
     rows: Vec<u32>,
+    /// Per point, the side of the split being applied (`true` = left).
+    goes_left: Vec<bool>,
     /// Spill buffer of the stable partition.
     scratch: Vec<u32>,
 }
 
-impl<'d> Presorted<'d> {
-    fn new(data: &'d [TrainPoint]) -> Self {
+impl Presorted {
+    fn new(data: &[TrainPoint]) -> Self {
         let n = data.len();
         let n32 = u32::try_from(n).expect("dataset fits u32 point indices");
         let dim = data[0].embedding.len() + 1;
@@ -140,26 +153,35 @@ impl<'d> Presorted<'d> {
             data.iter().all(|p| p.embedding.len() == dim - 1),
             "every point needs an embedding of the same length"
         );
-        let mut sorted = Vec::with_capacity(n * dim);
+        let mut cols = Vec::with_capacity(n * dim);
         for f in 0..dim {
+            cols.extend(data.iter().map(|p| p.feature(f)));
+        }
+        let mut sorted = Vec::with_capacity(n * dim);
+        for col in cols.chunks_exact(n) {
             let start = sorted.len();
             sorted.extend(0..n32);
             sorted[start..].sort_by(|&a, &b| {
-                data[a as usize]
-                    .feature(f)
-                    .partial_cmp(&data[b as usize].feature(f))
+                col[a as usize]
+                    .partial_cmp(&col[b as usize])
                     .expect("feature values are not NaN")
             });
         }
         Presorted {
-            data,
             n,
             dim,
+            cols,
             order: sorted.clone(),
             sorted,
             rows: (0..n32).collect(),
+            goes_left: vec![false; n],
             scratch: vec![0; n],
         }
+    }
+
+    /// Feature `f`'s values, indexed by point.
+    fn column(&self, f: usize) -> &[f64] {
+        &self.cols[f * self.n..(f + 1) * self.n]
     }
 
     /// Restore the root layout: every point in one range.
@@ -170,53 +192,69 @@ impl<'d> Presorted<'d> {
         }
     }
 
-    /// Stably partition the node's `range` of `rows` by
-    /// `feature ≤ threshold` (the test `Tree::predict` applies); returns
-    /// the left count.
+    /// Record each of the node's points' side of the split
+    /// `feature ≤ threshold` (the test `Tree::predict` applies) in
+    /// `goes_left`, then stably partition the node's `range` of `rows` by
+    /// it; returns the left count.
     fn partition_rows(&mut self, range: Range<usize>, feature: usize, threshold: f64) -> usize {
-        let data = self.data;
-        stable_partition(&mut self.rows[range], &mut self.scratch, |i| {
-            data[i as usize].feature(feature) <= threshold
-        })
+        let col = &self.cols[feature * self.n..(feature + 1) * self.n];
+        for &i in &self.rows[range.clone()] {
+            self.goes_left[i as usize] = col[i as usize] <= threshold;
+        }
+        stable_partition(&mut self.rows[range], &mut self.scratch, &self.goes_left)
     }
 
-    /// The same partition of the node's range in every feature's order.
-    fn partition_orders(&mut self, range: Range<usize>, feature: usize, threshold: f64) {
-        let data = self.data;
-        for order in self.order.chunks_exact_mut(self.n) {
-            stable_partition(&mut order[range.clone()], &mut self.scratch, |i| {
-                data[i as usize].feature(feature) <= threshold
-            });
+    /// The split `partition_rows` recorded, applied to the node's range in
+    /// every feature's order. A feature constant over the range is left
+    /// as it is: see [`node_constant`].
+    fn partition_orders(&mut self, range: Range<usize>) {
+        let orders = self.order.chunks_exact_mut(self.n);
+        for (col, order) in self.cols.chunks_exact(self.n).zip(orders) {
+            let node = &mut order[range.clone()];
+            if !node_constant(col, node) {
+                stable_partition(node, &mut self.scratch, &self.goes_left);
+            }
         }
     }
 }
 
-/// Stable in-place partition of `arr`: points going left keep their order
-/// at the front, the rest keep theirs behind. Returns the left count.
-fn stable_partition(
-    arr: &mut [u32],
-    scratch: &mut [u32],
-    goes_left: impl Fn(u32) -> bool,
-) -> usize {
-    let (mut l, mut r) = (0, 0);
+/// Whether a feature takes one value over a node's range of its order:
+/// the range is sorted by value, so its first and last values are equal
+/// exactly when all are. Signed zeros count as one value, as in the scan:
+/// `-0.0 == 0.0` under both `==` and `partial_cmp`, so a zero-valued
+/// column of mixed signs offers no split either.
+///
+/// A constant range has no split candidate, and the split search skips
+/// it. Its order is not partitioned at a split either: each child's
+/// slice then holds some of the parent's points rather than its own, but
+/// all share the one value, so the slice still tests constant and is
+/// never scanned, in the child or below.
+fn node_constant(col: &[f64], node: &[u32]) -> bool {
+    col[node[0] as usize] == col[node[node.len() - 1] as usize]
+}
+
+/// Stable in-place partition of `arr` by `goes_left[i]`: points going
+/// left keep their order at the front, the rest keep theirs behind.
+/// Returns the left count. Branchless: each index is written to both the
+/// left slot and the spill slot, and only the left counter's advance
+/// depends on the side.
+fn stable_partition(arr: &mut [u32], scratch: &mut [u32], goes_left: &[bool]) -> usize {
+    let mut l = 0;
     for k in 0..arr.len() {
         let i = arr[k];
-        if goes_left(i) {
-            arr[l] = i;
-            l += 1;
-        } else {
-            scratch[r] = i;
-            r += 1;
-        }
+        arr[l] = i;
+        scratch[k - l] = i;
+        l += usize::from(goes_left[i as usize]);
     }
+    let r = arr.len() - l;
     arr[l..].copy_from_slice(&scratch[..r]);
     l
 }
 
-struct TreeBuilder<'a, 'd> {
-    presorted: &'a mut Presorted<'d>,
-    grads: &'a [f64],
-    hess: &'a [f64],
+struct TreeBuilder<'a> {
+    presorted: &'a mut Presorted,
+    /// Per point, the loss gradient and hessian.
+    grad_hess: &'a [[f64; 2]],
     /// Training scores, advanced by each leaf's value as the leaf is made.
     scores: &'a mut [f64],
     cfg: &'a GbdtConfig,
@@ -224,7 +262,7 @@ struct TreeBuilder<'a, 'd> {
     nodes: Vec<Node>,
 }
 
-impl TreeBuilder<'_, '_> {
+impl TreeBuilder<'_> {
     fn leaf_value(&self, g: f64, h: f64, lo: f64, hi: f64) -> f64 {
         (-g / (h + self.cfg.lambda)).clamp(lo, hi)
     }
@@ -236,8 +274,8 @@ impl TreeBuilder<'_, '_> {
     /// Gradient and hessian sums over `rows[range]`, in ascending index order.
     fn sums(&self, range: Range<usize>) -> (f64, f64) {
         let rows = &self.presorted.rows[range];
-        let g = rows.iter().map(|&i| self.grads[i as usize]).sum();
-        let h = rows.iter().map(|&i| self.hess[i as usize]).sum();
+        let g = rows.iter().map(|&i| self.grad_hess[i as usize][0]).sum();
+        let h = rows.iter().map(|&i| self.grad_hess[i as usize][1]).sum();
         (g, h)
     }
 
@@ -263,33 +301,43 @@ impl TreeBuilder<'_, '_> {
         (g, h): (f64, f64),
         (lo, hi): (f64, f64),
     ) -> Option<(f64, usize, f64)> {
-        let parent_score = g * g / (h + self.cfg.lambda);
+        let GbdtConfig {
+            lambda,
+            min_samples_leaf,
+            min_gain,
+            ..
+        } = *self.cfg;
+        let parent_score = g * g / (h + lambda);
+        let len = range.len();
         let n = self.presorted.n;
         let mut best: Option<(f64, usize, f64)> = None;
         for f in 0..self.presorted.dim {
+            let col = self.presorted.column(f);
             let node_order = &self.presorted.order[f * n + range.start..f * n + range.end];
-            let value = |k: usize| self.presorted.data[node_order[k] as usize].feature(f);
+            if node_constant(col, node_order) {
+                continue;
+            }
             let mut gl = 0.0;
             let mut hl = 0.0;
-            let mut xn = value(0);
-            for k in 0..node_order.len() - 1 {
-                gl += self.grads[node_order[k] as usize];
-                hl += self.hess[node_order[k] as usize];
+            let mut xn = col[node_order[0] as usize];
+            for (k, pair) in node_order.windows(2).enumerate() {
+                let [gi, hi_] = self.grad_hess[pair[0] as usize];
+                gl += gi;
+                hl += hi_;
                 let xv = xn;
-                xn = value(k + 1);
+                xn = col[pair[1] as usize];
                 if xv == xn {
                     continue; // cannot split between equal values
                 }
                 let nl = k + 1;
-                let nr = node_order.len() - nl;
-                if nl < self.cfg.min_samples_leaf || nr < self.cfg.min_samples_leaf {
+                let nr = len - nl;
+                if nl < min_samples_leaf || nr < min_samples_leaf {
                     continue;
                 }
                 let gr = g - gl;
                 let hr = h - hl;
-                let gain = gl * gl / (hl + self.cfg.lambda) + gr * gr / (hr + self.cfg.lambda)
-                    - parent_score;
-                if gain <= self.cfg.min_gain {
+                let gain = gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score;
+                if gain <= min_gain {
                     continue;
                 }
                 if f == self.constrained {
@@ -332,8 +380,7 @@ impl TreeBuilder<'_, '_> {
         // Children that are leaves never scan, so their order ranges are
         // never read: skip the per-feature partitions.
         if !(self.is_leaf(depth + 1, nl) && self.is_leaf(depth + 1, range.len() - nl)) {
-            self.presorted
-                .partition_orders(range.clone(), feature, threshold);
+            self.presorted.partition_orders(range.clone());
         }
         let left_sums = self.sums(range.start..mid);
         let right_sums = self.sums(mid..range.end);
@@ -386,6 +433,10 @@ impl MonotonicGbdt {
     }
 }
 
+/// Longest model input `predict_proba` assembles on the stack; longer ones
+/// go to the heap. The daemon's inputs are 34 wide.
+const STACK_INPUT: usize = 64;
+
 fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
@@ -406,8 +457,7 @@ impl BottleneckClassifier for MonotonicGbdt {
         self.trees.clear();
 
         let mut scores = vec![self.base_score; n];
-        let mut grads = vec![0.0; n];
-        let mut hess = vec![0.0; n];
+        let mut grad_hess = vec![[0.0; 2]; n];
         // Class balancing (XGBoost's scale_pos_weight): bottleneck labels
         // are the rare minority; without it the ensemble ignores them.
         let pos_count = ys.iter().filter(|&&y| y > 0.5).count().max(1) as f64;
@@ -417,14 +467,12 @@ impl BottleneckClassifier for MonotonicGbdt {
             for i in 0..n {
                 let p = sigmoid(scores[i]);
                 let w = if ys[i] > 0.5 { spw } else { 1.0 };
-                grads[i] = w * (p - ys[i]);
-                hess[i] = (w * p * (1.0 - p)).max(1e-9);
+                grad_hess[i] = [w * (p - ys[i]), (w * p * (1.0 - p)).max(1e-9)];
             }
             presorted.reset();
             let mut builder = TreeBuilder {
                 presorted: &mut presorted,
-                grads: &grads,
-                hess: &hess,
+                grad_hess: &grad_hess,
                 scores: &mut scores,
                 cfg: &self.config,
                 constrained: self.constrained,
@@ -442,8 +490,20 @@ impl BottleneckClassifier for MonotonicGbdt {
 
     fn predict_proba(&self, embedding: &[f64], parallelism: u32) -> f64 {
         assert!(self.fitted, "predict before fit");
-        let x = crate::assemble_input(embedding, parallelism);
-        sigmoid(self.raw_score(&x))
+        // The model input `[h…, p / PARALLELISM_NORM]`, assembled in a
+        // stack buffer: the min-parallelism search calls this ~log2(p_max)
+        // times per operator, and a heap input per call costs more than the
+        // tree walk's own loads.
+        let len = embedding.len();
+        let mut buf = [0.0; STACK_INPUT];
+        let score = if len < STACK_INPUT {
+            buf[..len].copy_from_slice(embedding);
+            buf[len] = crate::parallelism_feature(parallelism);
+            self.raw_score(&buf[..=len])
+        } else {
+            self.raw_score(&crate::assemble_input(embedding, parallelism))
+        };
+        sigmoid(score)
     }
 
     fn is_monotonic(&self) -> bool {

@@ -122,6 +122,7 @@ impl BottleneckClassifier for NnClassifier {
             tape.backward_from(pred, grad);
             params.adam_step(&tape, &bindings, &self.config.adam.clone());
         }
+        params.end_training();
         self.params = params;
         self.mlp = Some(mlp);
     }
