@@ -80,6 +80,7 @@ impl ZeroTuneModel {
         for _ in 0..config.epochs {
             encoder.train_step(&samples);
         }
+        encoder.end_training();
         ZeroTuneModel { encoder, features }
     }
 

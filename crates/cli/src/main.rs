@@ -156,10 +156,12 @@ fn load_bundle(args: &Args) -> Result<Pretrained, CliError> {
         path: path.clone(),
         message: e.to_string(),
     })?;
-    serde_json::from_str(&data).map_err(|e| CliError::Serde {
+    let mut bundle: Pretrained = serde_json::from_str(&data).map_err(|e| CliError::Serde {
         context: format!("parse {path}"),
         message: e.to_string(),
-    })
+    })?;
+    bundle.end_training();
+    Ok(bundle)
 }
 
 /// The `--backend` selection: the simulator, a recorded trace, a live

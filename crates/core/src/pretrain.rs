@@ -122,6 +122,15 @@ pub struct Pretrained {
 }
 
 impl Pretrained {
+    /// Free every encoder's optimizer state. Freshly trained bundles hold
+    /// none; a bundle written by an older build still carries it after
+    /// loading, and a loaded bundle only embeds.
+    pub fn end_training(&mut self) {
+        for cluster in &mut self.clusters {
+            cluster.encoder.end_training();
+        }
+    }
+
     /// Algorithm 2 line 1–2: assign a target DAG to its nearest cluster —
     /// the argmin of [`Self::center_distances`], ties going to the lower
     /// index — and return that cluster's model. Returns `(cluster index,
@@ -341,6 +350,7 @@ impl Pretrainer {
                 final_loss = encoder.train_step(&member_samples);
             }
         }
+        encoder.end_training();
         // Warm-up dataset: agnostic embeddings + input-rate feature +
         // recorded (p, label). Sparse clusters are topped up with
         // non-member samples embedded by this cluster's encoder. One tape

@@ -242,6 +242,12 @@ impl GnnEncoder {
         self.params.num_scalars()
     }
 
+    /// Free the optimizer state ([`ParamSet::end_training`]): from here
+    /// on the encoder only embeds and predicts.
+    pub fn end_training(&mut self) {
+        self.params.end_training();
+    }
+
     /// Forward pass on the tape. When `with_parallelism` is true the FUSE
     /// update injects the sample's parallelism after every message-passing
     /// iteration (parallelism-aware); otherwise it is skipped entirely

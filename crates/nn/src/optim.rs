@@ -9,10 +9,18 @@ use serde::{Deserialize, Serialize};
 pub struct ParamId(usize);
 
 /// A set of trainable parameters with Adam moment buffers.
+///
+/// The moments are training-only state: they are allocated as zeros on
+/// the first [`ParamSet::adam_step`] and freed by
+/// [`ParamSet::end_training`], and they are serialized only while they
+/// exist, so a trained model that serves inference neither carries nor
+/// writes them. A model written with moments still loads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParamSet {
     values: Vec<Matrix>,
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     m: Vec<Matrix>,
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     v: Vec<Matrix>,
     step: u64,
 }
@@ -36,10 +44,7 @@ impl ParamSet {
 
     /// Register a parameter; returns its id.
     pub fn register(&mut self, value: Matrix) -> ParamId {
-        let (r, c) = value.shape();
         self.values.push(value);
-        self.m.push(Matrix::zeros(r, c));
-        self.v.push(Matrix::zeros(r, c));
         ParamId(self.values.len() - 1)
     }
 
@@ -76,9 +81,25 @@ impl ParamSet {
         var
     }
 
+    /// Free the Adam moments: the parameters only serve inference from
+    /// here on. A later [`ParamSet::adam_step`] restarts them from zero
+    /// (the step count, and so the bias correction, carries on).
+    pub fn end_training(&mut self) {
+        self.m = Vec::new();
+        self.v = Vec::new();
+    }
+
     /// Apply one Adam update from the gradients accumulated on `tape` for
-    /// the bound parameters.
+    /// the bound parameters. Parameters without moments yet (the first
+    /// step, or parameters registered since) start them at zero.
     pub fn adam_step(&mut self, tape: &Tape, bindings: &Bindings, cfg: &AdamConfig) {
+        for moments in [&mut self.m, &mut self.v] {
+            let have = moments.len();
+            moments.extend(self.values[have..].iter().map(|p| {
+                let (r, c) = p.shape();
+                Matrix::zeros(r, c)
+            }));
+        }
         self.step += 1;
         let t = self.step as f64;
         let bc1 = 1.0 - cfg.beta1.powf(t);
@@ -197,6 +218,37 @@ mod tests {
             params.sgd_step(&tape, &b, 0.1);
         }
         assert!(params.value(x).get(0, 0).abs() < 1e-3);
+    }
+
+    /// Moments exist only between the first step and `end_training`.
+    #[test]
+    fn moments_are_training_only_state() {
+        let mut params = ParamSet::new();
+        let x = params.register(Matrix::row_vector(&[4.0, -1.0]));
+        assert!(!serde_json::to_string(&params).unwrap().contains("\"m\""));
+        let step = |params: &mut ParamSet| {
+            let mut tape = Tape::new();
+            let mut b = Bindings::new();
+            let xv = params.bind(x, &mut tape, &mut b);
+            let loss = tape.mul(xv, xv);
+            tape.backward_from(loss, Matrix::full(1, 2, 1.0));
+            params.adam_step(&tape, &b, &AdamConfig::default());
+        };
+        step(&mut params);
+        let trained = serde_json::to_string(&params).unwrap();
+        assert!(trained.contains("\"m\"") && trained.contains("\"v\""));
+
+        // A model written with moments loads with them; ending training
+        // drops them and leaves the values alone.
+        let mut loaded: ParamSet = serde_json::from_str(&trained).unwrap();
+        assert_eq!(loaded, params);
+        loaded.end_training();
+        let served = serde_json::to_string(&loaded).unwrap();
+        assert!(!served.contains("\"m\"") && !served.contains("\"v\""));
+        assert_eq!(loaded.value(x), params.value(x));
+        // Training can resume; the moments restart from zero.
+        step(&mut loaded);
+        assert_eq!(loaded.m.len(), 1);
     }
 
     #[test]

@@ -373,8 +373,12 @@ impl ModelStore {
 
     /// Load the pre-trained bundle (strict: corruption is an error; use
     /// [`ModelStore::recover_model`] for the boot path that falls back).
+    /// A model written with encoder optimizer state (by an older build)
+    /// loads without it.
     pub fn load_model(&self) -> Result<Pretrained, StoreError> {
-        read_envelope(&self.model_path())
+        let mut model: Pretrained = read_envelope(&self.model_path())?;
+        model.end_training();
+        Ok(model)
     }
 
     /// Move a damaged artifact aside as `<name>.corrupt` (replacing any
@@ -449,7 +453,10 @@ impl ModelStore {
                     quarantined.display()
                 ));
                 let bak = self.model_backup_path();
-                let (model, bak_event) = self.read_or_quarantine::<Pretrained>(&bak)?;
+                let (mut model, bak_event) = self.read_or_quarantine::<Pretrained>(&bak)?;
+                if let Some(model) = &mut model {
+                    model.end_training();
+                }
                 if let Some(event) = bak_event {
                     events.push(event);
                 }

@@ -64,6 +64,76 @@ fn persisted_model_yields_bit_identical_recommendations() {
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
+/// `json` with Adam moments added to every encoder's parameter set, in
+/// the layout builds that kept them wrote: `{"values":V,"m":M,"v":V2,
+/// "step":N}`. The moments copy the values, which have their shapes.
+fn with_legacy_moments(json: &str) -> String {
+    let key = "\"params\":{\"values\":";
+    let mut out = String::with_capacity(3 * json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find(key) {
+        let start = at + key.len();
+        let bytes = rest.as_bytes();
+        let mut depth = 0usize;
+        let mut end = start;
+        loop {
+            match bytes[end] {
+                b'[' => depth += 1,
+                b']' => depth -= 1,
+                _ => {}
+            }
+            end += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        let values = &rest[start..end];
+        out.push_str(&rest[..end]);
+        out.push_str(&format!(",\"m\":{values},\"v\":{values}"));
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn legacy_model_with_optimizer_state_loads_and_tunes_identically() {
+    let fresh = Pretrainer::new(PretrainConfig::fast()).run(&small_corpus(57));
+    let fresh_json = serde_json::to_string(&fresh).expect("serialize");
+    assert!(
+        !fresh_json.contains("\"m\":"),
+        "trained encoders keep no moments"
+    );
+    let legacy_json = with_legacy_moments(&fresh_json);
+    let legacy: streamtune::core::Pretrained =
+        serde_json::from_str(&legacy_json).expect("a model with moments parses");
+
+    // Written as an older build wrote it: the moments reach the file.
+    let store = temp_store("legacy-moments");
+    store.save_model(&legacy).expect("save legacy model");
+    let on_disk = std::fs::read_to_string(store.model_path()).expect("read model.json");
+    assert!(on_disk.contains("\"m\":[") && on_disk.contains("\"v\":["));
+
+    let loaded = store.load_model().expect("legacy model.json loads");
+    assert_eq!(
+        serde_json::to_string(&loaded).expect("serialize"),
+        fresh_json,
+        "loading drops the moments and nothing else"
+    );
+    for (query, seed) in [("nexmark-q1", 5), ("nexmark-q5", 6), ("pqp-linear-3", 7)] {
+        assert_eq!(
+            recommend(&legacy, query, 10.0, seed),
+            recommend(&loaded, query, 10.0, seed),
+            "a legacy model must recommend identically for {query}"
+        );
+        assert_eq!(
+            recommend(&fresh, query, 10.0, seed),
+            recommend(&loaded, query, 10.0, seed)
+        );
+    }
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
 #[test]
 fn warm_started_pretraining_matches_cold_and_skips_searches() {
     let corpus = small_corpus(53);
