@@ -321,9 +321,9 @@ impl TreeBuilder<'_> {
             let mut hl = 0.0;
             let mut xn = col[node_order[0] as usize];
             for (k, pair) in node_order.windows(2).enumerate() {
-                let [gi, hi_] = self.grad_hess[pair[0] as usize];
-                gl += gi;
-                hl += hi_;
+                let [gk, hk] = self.grad_hess[pair[0] as usize];
+                gl += gk;
+                hl += hk;
                 let xv = xn;
                 xn = col[pair[1] as usize];
                 if xv == xn {
@@ -433,10 +433,6 @@ impl MonotonicGbdt {
     }
 }
 
-/// Longest model input `predict_proba` assembles on the stack; longer ones
-/// go to the heap. The daemon's inputs are 34 wide.
-const STACK_INPUT: usize = 64;
-
 fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
@@ -490,20 +486,8 @@ impl BottleneckClassifier for MonotonicGbdt {
 
     fn predict_proba(&self, embedding: &[f64], parallelism: u32) -> f64 {
         assert!(self.fitted, "predict before fit");
-        // The model input `[h…, p / PARALLELISM_NORM]`, assembled in a
-        // stack buffer: the min-parallelism search calls this ~log2(p_max)
-        // times per operator, and a heap input per call costs more than the
-        // tree walk's own loads.
-        let len = embedding.len();
-        let mut buf = [0.0; STACK_INPUT];
-        let score = if len < STACK_INPUT {
-            buf[..len].copy_from_slice(embedding);
-            buf[len] = crate::parallelism_feature(parallelism);
-            self.raw_score(&buf[..=len])
-        } else {
-            self.raw_score(&crate::assemble_input(embedding, parallelism))
-        };
-        sigmoid(score)
+        let x = crate::assemble_input(embedding, parallelism);
+        sigmoid(self.raw_score(&x))
     }
 
     fn is_monotonic(&self) -> bool {

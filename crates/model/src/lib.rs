@@ -67,7 +67,7 @@ pub fn assemble_input(embedding: &[f64], parallelism: u32) -> Vec<f64> {
 }
 
 /// The last model input: the parallelism, normalized.
-pub(crate) fn parallelism_feature(parallelism: u32) -> f64 {
+fn parallelism_feature(parallelism: u32) -> f64 {
     f64::from(parallelism) / PARALLELISM_NORM
 }
 

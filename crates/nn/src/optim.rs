@@ -105,17 +105,15 @@ impl ParamSet {
         let bc1 = 1.0 - cfg.beta1.powf(t);
         let bc2 = 1.0 - cfg.beta2.powf(t);
         for &(id, var) in &bindings.pairs {
-            let g = tape.grad(var);
             let i = id.0;
-            for k in 0..g.data().len() {
-                let grad = g.data()[k];
-                let m = cfg.beta1 * self.m[i].data()[k] + (1.0 - cfg.beta1) * grad;
-                let v = cfg.beta2 * self.v[i].data()[k] + (1.0 - cfg.beta2) * grad * grad;
-                self.m[i].data_mut()[k] = m;
-                self.v[i].data_mut()[k] = v;
-                let mhat = m / bc1;
-                let vhat = v / bc2;
-                self.values[i].data_mut()[k] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+            let params = self.values[i].data_mut().iter_mut();
+            let moments = self.m[i].data_mut().iter_mut().zip(self.v[i].data_mut());
+            for ((x, (m, v)), &grad) in params.zip(moments).zip(tape.grad(var).data()) {
+                *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * grad;
+                *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * grad * grad;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *x -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
             }
         }
     }
