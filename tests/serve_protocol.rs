@@ -185,16 +185,41 @@ fn protocol_errors_keep_the_server_alive() {
         \"snapshot\"\n\
         {\"watch\": {\"job\": \"ghost\"}}\n\
         {\"unwatch\": {\"job\": \"ghost\"}}\n\
+        {\"tick\": {\"steps\": 100001}}\n\
+        {\"explain\": {\"job\": \"ghost\"}}\n\
         \"status\"\n";
     let responses = run_script(&mut server, script);
-    assert_eq!(responses.len(), 8);
-    // Bad line, unknown verb, unknown job (four times), and snapshot
-    // without a store all answer with errors…
-    for r in &responses[..7] {
-        assert!(matches!(r, Response::Error { .. }), "got {r:?}");
-    }
+    assert_eq!(responses.len(), 10);
+    // Bad line, unknown verb, unknown job (four times), snapshot without a
+    // store, an over-cap tick and an unexplained job all answer with
+    // errors, each with its exact text…
+    let messages: Vec<&str> = responses[..9]
+        .iter()
+        .map(|r| match r {
+            Response::Error { message } => message.as_str(),
+            other => panic!("expected an error, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        messages,
+        [
+            "bad request: unexpected Some('t') at offset 0",
+            "bad request: unknown variant `reboot`, expected one of `submit`, `status`, \
+             `recommend`, `cancel`, `watch`, `unwatch`, `drift_status`, `health`, `metrics`, \
+             `tick`, `snapshot`, `drain`, `trace`, `explain`, `metrics_history`, `shutdown`",
+            "no job named `ghost`",
+            "no job named `ghost`",
+            "no model store configured (start the server with --store)",
+            "no job named `ghost`",
+            "job `ghost` is not watched",
+            "tick steps 100001 exceeds the per-request cap 100000 (send several smaller ticks \
+             instead)",
+            "no decision recorded for job `ghost` (it never completed a tuning run, or the \
+             trail was compacted past it)",
+        ]
+    );
     // …and the server still serves real requests afterwards.
-    match &responses[7] {
+    match &responses[9] {
         Response::Status(status) => {
             assert!(status.jobs.is_empty());
             assert!(status.store.is_none(), "no store configured");

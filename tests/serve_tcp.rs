@@ -673,3 +673,46 @@ fn drain_verb_finishes_work_flushes_the_store_and_stops_the_daemon() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_poisoned_server_lock_is_recovered_once_and_counted() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Mutex::new(server());
+
+    // A thread panics while it holds the server guard, poisoning the lock.
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let _guard = server.lock().expect("lock is clean before the panic");
+            panic!("poison the server lock on purpose");
+        });
+        assert!(holder.join().is_err(), "the holder panicked");
+    });
+    assert!(server.is_poisoned());
+
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let mut client = Client::connect(addr);
+        // The first request after the poisoning is answered normally, and
+        // the recovery is counted exactly once.
+        match client.request("\"health\"") {
+            Response::Health(health) => assert_eq!(health.lock_recoveries, 1),
+            other => panic!("expected health, got {other:?}"),
+        }
+        // The lock is clean again: later requests neither fail nor count.
+        match client.request("\"health\"") {
+            Response::Health(health) => assert_eq!(health.lock_recoveries, 1),
+            other => panic!("expected health, got {other:?}"),
+        }
+        assert!(matches!(client.request("\"status\""), Response::Status(_)));
+        assert!(matches!(
+            client.request("\"shutdown\""),
+            Response::ShuttingDown
+        ));
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon exits cleanly");
+    });
+    assert!(!server.is_poisoned());
+}
