@@ -681,7 +681,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 }
             );
             let server = std::sync::Mutex::new(server);
-            Server::serve_tcp_with(&server, &listener, config)?;
+            Server::serve_tcp(&server, &listener, config)?;
         }
         None => {
             eprintln!("serving line-delimited JSON on stdin/stdout");

@@ -1,5 +1,5 @@
 //! Deterministic JSONL metric-dump generation — the test and example
-//! counterpart of [`crate::ingest`].
+//! counterpart of [`crate::ingest`](mod@crate::ingest).
 //!
 //! `write_dump` synthesizes the dump a production metrics scraper would
 //! produce for a linear pipeline: per window, per sample tick, one row

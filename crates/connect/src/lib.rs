@@ -16,10 +16,10 @@
 //!   tuning over the connector is *bitwise* identical to tuning over the
 //!   simulator it fronts.
 //!
-//! * **Streaming trace ingestion** ([`ingest`]) — multi-million-row JSONL
-//!   metric dumps become replayable [`TraceLog`]s and monitor-ready rate
-//!   schedules in bounded memory (line-at-a-time reading, per-operator
-//!   accumulators for one window at a time). Together with
+//! * **Streaming trace ingestion** ([`ingest`](mod@ingest)) —
+//!   multi-million-row JSONL metric dumps become replayable [`TraceLog`]s
+//!   and monitor-ready rate schedules in bounded memory (line-at-a-time
+//!   reading, per-operator accumulators for one window at a time). Together with
 //!   `ReplayBackend` and `streamtune monitor`, this turns production
 //!   traffic into an offline "what would the tuner have done" analysis.
 //!   [`dump`] generates deterministic dumps (seeded jitter, embedded

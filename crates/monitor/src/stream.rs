@@ -169,11 +169,6 @@ impl MetricStream {
     pub fn polls(&self) -> u64 {
         self.polls
     }
-
-    /// Fraction of the window spent under job-level backpressure.
-    pub fn backpressure_fraction(&self) -> f64 {
-        self.backpressure.mean()
-    }
 }
 
 #[cfg(test)]

@@ -309,22 +309,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape());
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, s: f64) -> Matrix {
         Matrix {

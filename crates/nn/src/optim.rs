@@ -53,11 +53,6 @@ impl ParamSet {
         &self.values[id.0]
     }
 
-    /// Mutable value (e.g. for constraint projection).
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.values[id.0]
-    }
-
     /// Number of registered parameters.
     pub fn len(&self) -> usize {
         self.values.len()

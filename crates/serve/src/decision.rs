@@ -22,7 +22,7 @@
 //! checksummed envelope as the jobs ledger) and are served by the
 //! `explain <job>` protocol verb across daemon restarts.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Why a job's decision audit ran.
 pub mod trigger {
@@ -104,14 +104,6 @@ pub struct DecisionRecord {
     /// Unix milliseconds at capture. Observational only — never part of
     /// any bit-identity comparison.
     pub ts_millis: u64,
-}
-
-impl DecisionRecord {
-    /// Render the record as a protocol [`Value`] (the `explained`
-    /// payload).
-    pub fn to_value(&self) -> Value {
-        self.serialize()
-    }
 }
 
 /// FNV-1a 64 of a serialized graph signature: the stable structural hash

@@ -110,7 +110,7 @@
 //!   in-flight work, flushes the store snapshot within
 //!   [`TcpConfig::drain_timeout`] and exits cleanly; a restart on the
 //!   drained store answers `recommend` without re-running anything.
-//! * **Admission control** — [`Server::serve_tcp_with`] bounds live
+//! * **Admission control** — [`Server::serve_tcp`] bounds live
 //!   sessions at [`TcpConfig::session_cap`] (excess connections get a
 //!   structured [`Response::Overloaded`] with a `retry_after_ms` hint,
 //!   then are closed) and sheds requests whose session waited past

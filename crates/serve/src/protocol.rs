@@ -490,9 +490,13 @@ pub enum Response {
         /// Store directory flushed to (`None` without a configured store).
         dir: Option<String>,
     },
-    /// One recorded span tree (or `{"found": false, ...}` when the flight
-    /// recorder holds no matching complete trace). Raw [`Value`] for the
-    /// same forward-compatibility reason as `Metrics`.
+    /// The flight recorder's traces: always `enabled` (whether telemetry
+    /// records) and `traces` (summaries of the newest traces); plus
+    /// `trace` (the newest complete span tree with the requested label,
+    /// or any label) and `chrome` (its Chrome trace-event export) only
+    /// when such a trace exists.
+    /// Raw [`Value`] for the same forward-compatibility reason as
+    /// `Metrics`.
     Trace(Value),
     /// One job's decision audit record. Raw [`Value`]: the record schema
     /// (see `decision.rs`) gains fields release to release.

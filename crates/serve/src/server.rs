@@ -23,12 +23,13 @@
 //! deterministic, only *when* they happen varies).
 
 use crate::error::ServeError;
-use crate::job::{panic_message, JobManager, JobState};
+use crate::job::{panic_message, Job, JobManager, JobResult, JobState};
 use crate::protocol::{
     parse_request, render_response, AlarmLine, BackendSpec, DriftEventLine, DriftReport,
     HealthReport, JobHealthLine, Recommendation, Request, Response, StatusReport, TickReport,
 };
 use crate::store::ModelStore;
+use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -521,22 +522,33 @@ impl Server {
         Ok(store.dir().display().to_string())
     }
 
+    /// The admitted job `name`.
+    fn known_job(&self, name: &str) -> Result<&Job, ServeError> {
+        self.manager
+            .job(name)
+            .ok_or_else(|| ServeError::UnknownJob {
+                name: name.to_string(),
+            })
+    }
+
+    /// The admitted job `name` and its result, which only a job that ran
+    /// to completion has.
+    fn finished_job(&self, name: &str) -> Result<(&Job, &JobResult), ServeError> {
+        let job = self.known_job(name)?;
+        match &job.state {
+            JobState::Done(result) => Ok((job, result)),
+            other => Err(ServeError::NoResult {
+                name: name.to_string(),
+                state: other.name().to_string(),
+            }),
+        }
+    }
+
     /// Register a finished job with the drift monitor. Returns whether its
     /// DAG structure is covered by the pre-trained corpus.
     fn watch_job(&mut self, name: &str, schedule: Option<Vec<f64>>) -> Result<bool, ServeError> {
         self.drain_jobs();
-        let job = self
-            .manager
-            .job(name)
-            .ok_or_else(|| ServeError::UnknownJob {
-                name: name.to_string(),
-            })?;
-        let JobState::Done(result) = &job.state else {
-            return Err(ServeError::NoResult {
-                name: name.to_string(),
-                state: job.state.name().to_string(),
-            });
-        };
+        let (job, result) = self.finished_job(name)?;
         if matches!(job.spec.backend, BackendSpec::Replay(_)) {
             return Err(ServeError::NotWatchable {
                 name: name.to_string(),
@@ -587,31 +599,14 @@ impl Server {
     /// pure function of `(pretrained, spec)`, so it is bit-identical to a
     /// manual re-submit at the same rate.
     fn retune(&mut self, job: &str, multiplier: f64) -> Result<(), ServeError> {
-        let mut spec = self
-            .manager
-            .job(job)
-            .ok_or_else(|| ServeError::UnknownJob {
-                name: job.to_string(),
-            })?
-            .spec
-            .clone();
+        let mut spec = self.known_job(job)?.spec.clone();
         spec.multiplier = multiplier;
         self.manager.resubmit(spec)?;
         self.drain_jobs();
-        match &self.manager.job(job).expect("job still admitted").state {
-            JobState::Done(result) => {
-                self.monitor.on_retuned(
-                    job,
-                    result.outcome.final_assignment.clone(),
-                    multiplier,
-                )?;
-                Ok(())
-            }
-            other => Err(ServeError::NoResult {
-                name: job.to_string(),
-                state: other.name().to_string(),
-            }),
-        }
+        let (_, result) = self.finished_job(job)?;
+        let assignment = result.outcome.final_assignment.clone();
+        self.monitor.on_retuned(job, assignment, multiplier)?;
+        Ok(())
     }
 
     /// Grow the corpus to cover `job`'s DAG, re-pretrain warm, swap the
@@ -621,14 +616,7 @@ impl Server {
         if self.corpus.is_empty() {
             return Err(ServeError::NoCorpus);
         }
-        let spec = self
-            .manager
-            .job(job)
-            .ok_or_else(|| ServeError::UnknownJob {
-                name: job.to_string(),
-            })?
-            .spec
-            .clone();
+        let spec = self.known_job(job)?.spec.clone();
         let workload =
             find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
                 query: spec.query.clone(),
@@ -823,16 +811,23 @@ impl Server {
             "serve.handle",
             format!("handle:{}", request.verb()),
         );
-        let response = match request {
-            Request::Submit(spec) => {
-                let job = spec.name.clone();
-                match self.manager.submit(spec.clone()) {
-                    Ok(cluster) => Response::Submitted { job, cluster },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
+        let response = self.answer(request).unwrap_or_else(|e| Response::Error {
+            message: e.to_string(),
+        });
+        ServeMetrics::get().record_request(request.verb(), started.elapsed());
+        (
+            response,
+            matches!(request, Request::Shutdown | Request::Drain),
+        )
+    }
+
+    /// The reply to one request; a [`ServeError`] becomes its `error` reply.
+    fn answer(&mut self, request: &Request) -> Result<Response, ServeError> {
+        Ok(match request {
+            Request::Submit(spec) => Response::Submitted {
+                job: spec.name.clone(),
+                cluster: self.manager.submit(spec.clone())?,
+            },
             Request::Status => {
                 self.drain_jobs();
                 Response::Status(StatusReport {
@@ -842,81 +837,51 @@ impl Server {
             }
             Request::Recommend { job } => {
                 self.drain_jobs();
-                match self.manager.job(job) {
-                    None => Response::Error {
-                        message: ServeError::UnknownJob { name: job.clone() }.to_string(),
-                    },
-                    Some(j) => match &j.state {
-                        JobState::Done(result) => Response::Recommendation(Recommendation {
-                            job: job.clone(),
-                            query: j.spec.query.clone(),
-                            cluster: result.cluster,
-                            op_names: result.op_names.to_vec(),
-                            degrees: result.outcome.final_assignment.as_slice().to_vec(),
-                            total: result.outcome.final_assignment.total(),
-                            reconfigurations: result.outcome.reconfigurations,
-                            backpressure_events: result.outcome.backpressure_events,
-                            elapsed_minutes: result.outcome.elapsed_minutes,
-                            iterations: result.outcome.iterations,
-                            converged: result.outcome.converged,
-                        }),
-                        other => Response::Error {
-                            message: ServeError::NoResult {
-                                name: job.clone(),
-                                state: other.name().to_string(),
-                            }
-                            .to_string(),
-                        },
-                    },
-                }
-            }
-            Request::Cancel { job } => match self.manager.cancel(job) {
-                Ok(()) => Response::Cancelled { job: job.clone() },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            },
-            Request::Watch { job, schedule } => match self.watch_job(job, schedule.clone()) {
-                Ok(covered) => Response::Watching {
+                let (j, result) = self.finished_job(job)?;
+                Response::Recommendation(Recommendation {
                     job: job.clone(),
-                    covered,
-                },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                    query: j.spec.query.clone(),
+                    cluster: result.cluster,
+                    op_names: result.op_names.to_vec(),
+                    degrees: result.outcome.final_assignment.as_slice().to_vec(),
+                    total: result.outcome.final_assignment.total(),
+                    reconfigurations: result.outcome.reconfigurations,
+                    backpressure_events: result.outcome.backpressure_events,
+                    elapsed_minutes: result.outcome.elapsed_minutes,
+                    iterations: result.outcome.iterations,
+                    converged: result.outcome.converged,
+                })
+            }
+            Request::Cancel { job } => {
+                self.manager.cancel(job)?;
+                Response::Cancelled { job: job.clone() }
+            }
+            Request::Watch { job, schedule } => Response::Watching {
+                job: job.clone(),
+                covered: self.watch_job(job, schedule.clone())?,
             },
-            Request::Unwatch { job } => match self.monitor.unwatch(job) {
-                Ok(()) => Response::Unwatched { job: job.clone() },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            },
+            Request::Unwatch { job } => {
+                self.monitor.unwatch(job)?;
+                Response::Unwatched { job: job.clone() }
+            }
             Request::DriftStatus => Response::Drift(DriftReport {
                 watches: self.monitor.status(),
                 alarms: self.health_report().alarms,
             }),
             Request::Health => Response::Health(self.health_report()),
             Request::Metrics => Response::Metrics(crate::expose::metrics_value()),
-            Request::Tick { steps } => {
-                // One request must not hold the shared server lock for an
-                // unbounded time: a huge (or fat-fingered) steps value
-                // would freeze every other client and the background loop.
-                if *steps > MAX_TICK_STEPS {
-                    Response::Error {
-                        message: format!(
-                            "tick steps {steps} exceeds the per-request cap {MAX_TICK_STEPS} \
-                             (send several smaller ticks instead)"
-                        ),
-                    }
-                } else {
-                    Response::Ticked(self.tick_monitor(*steps))
-                }
-            }
-            Request::Snapshot => match self.snapshot() {
-                Ok(dir) => Response::Snapshotted { dir },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+            // One request must not hold the shared server lock for an
+            // unbounded time: a huge (or fat-fingered) steps value would
+            // freeze every other client and the background loop.
+            Request::Tick { steps } if *steps > MAX_TICK_STEPS => Response::Error {
+                message: format!(
+                    "tick steps {steps} exceeds the per-request cap {MAX_TICK_STEPS} \
+                     (send several smaller ticks instead)"
+                ),
+            },
+            Request::Tick { steps } => Response::Ticked(self.tick_monitor(*steps)),
+            Request::Snapshot => Response::Snapshotted {
+                dir: self.snapshot()?,
             },
             // Graceful drain: finish every queued job (journaling as it
             // goes), flush the store when one is configured, then stop.
@@ -930,13 +895,9 @@ impl Server {
                         None
                     }
                     Err(e) => {
-                        ServeMetrics::get().record_request(request.verb(), started.elapsed());
-                        return (
-                            Response::Error {
-                                message: format!("drain: {e}"),
-                            },
-                            true,
-                        );
+                        return Ok(Response::Error {
+                            message: format!("drain: {e}"),
+                        })
                     }
                 };
                 Response::Draining {
@@ -955,7 +916,7 @@ impl Server {
                 // answer for the run it implies, like `recommend` does.
                 self.drain_jobs();
                 match self.manager.decision_for(job) {
-                    Some(decision) => Response::Explained(decision.to_value()),
+                    Some(decision) => Response::Explained(decision.serialize()),
                     None => Response::Error {
                         message: format!(
                             "no decision recorded for job `{job}` (it never completed a \
@@ -972,12 +933,7 @@ impl Server {
                 Response::MetricsHistory(crate::expose::history_value())
             }
             Request::Shutdown => Response::ShuttingDown,
-        };
-        ServeMetrics::get().record_request(request.verb(), started.elapsed());
-        (
-            response,
-            matches!(request, Request::Shutdown | Request::Drain),
-        )
+        })
     }
 
     /// Serve line-delimited requests from `input`, writing one response
@@ -995,18 +951,8 @@ impl Server {
         };
         for line in input.lines() {
             let line = line.map_err(|e| io_err("read request", e))?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
+            let Some((response, stop)) = answer_line(&line, |request| self.handle(request)) else {
                 continue;
-            }
-            let (response, stop) = match parse_request(trimmed) {
-                Ok(request) => self.handle(&request),
-                Err(e) => (
-                    Response::Error {
-                        message: format!("bad request: {e}"),
-                    },
-                    false,
-                ),
             };
             write_reply(&mut output, &response).map_err(|e| io_err("write response", e))?;
             if stop {
@@ -1023,38 +969,21 @@ impl Server {
     /// deterministic). A connection-level failure — a client resetting the
     /// socket mid-session, a broken pipe on the response, half a line at
     /// disconnect — ends only that connection (logged to stderr); the
-    /// daemon keeps accepting. Only a broken *listener* is fatal.
+    /// daemon keeps accepting. Only a broken *listener* is fatal. Returns
+    /// once any client sends `shutdown` or `drain`.
     ///
-    /// With `monitor_interval` set, the accept loop doubles as the
-    /// **background monitor loop**: whenever the interval elapses it takes
-    /// one observe→detect→adapt tick (logging applied adaptations to
-    /// stderr). Returns once any client sends `shutdown`.
-    pub fn serve_tcp(
-        server: &Mutex<Server>,
-        listener: &TcpListener,
-        monitor_interval: Option<Duration>,
-    ) -> Result<(), ServeError> {
-        Server::serve_tcp_with(
-            server,
-            listener,
-            TcpConfig {
-                monitor_interval,
-                ..TcpConfig::default()
-            },
-        )
-    }
-
-    /// [`Server::serve_tcp`] with explicit transport settings: session-cap
-    /// admission control, per-request deadlines and SIGTERM-triggered
-    /// graceful drain (see [`TcpConfig`]).
+    /// **Admission control** (see [`TcpConfig`]): at most `session_cap`
+    /// concurrent sessions; a connection past the cap receives one
+    /// structured `overloaded` response (with a retry-after hint) and is
+    /// closed — the daemon sheds load instead of queueing it without
+    /// bound. A request that cannot take the shared server lock within
+    /// `request_deadline` is likewise answered `overloaded` (the session
+    /// survives). Both are counted in `health` without touching the
+    /// server lock.
     ///
-    /// **Admission control**: at most `session_cap` concurrent sessions;
-    /// a connection past the cap receives one structured `overloaded`
-    /// response (with a retry-after hint) and is closed — the daemon sheds
-    /// load instead of queueing it without bound. A request that cannot
-    /// take the shared server lock within `request_deadline` is likewise
-    /// answered `overloaded` (the session survives). Both are counted in
-    /// `health` without touching the server lock.
+    /// **Background monitor**: with `monitor_interval` set, the accept
+    /// loop takes one observe→detect→adapt tick whenever the interval
+    /// elapses (logging applied adaptations to stderr).
     ///
     /// **Graceful drain**: a SIGTERM (Unix) behaves like a `drain` verb
     /// from the outside: stop accepting, finish and journal in-flight
@@ -1062,7 +991,7 @@ impl Server {
     /// within `drain_timeout` (a wedged handler), the daemon exits
     /// without draining — the epoch journal still covers every observed
     /// epoch, so a restart resumes rather than recomputes.
-    pub fn serve_tcp_with(
+    pub fn serve_tcp(
         server: &Mutex<Server>,
         listener: &TcpListener,
         config: TcpConfig,
@@ -1072,7 +1001,10 @@ impl Server {
             message: e.to_string(),
         })?;
         install_sigterm_handler();
-        let tcp = lock_server(server).tcp.clone();
+        let tcp = lock_server(server, None)
+            .expect("an unbounded wait takes the lock")
+            .tcp
+            .clone();
         let shutdown = AtomicBool::new(false);
         let sessions = AtomicUsize::new(0);
         let mut last_tick = Instant::now();
@@ -1123,32 +1055,7 @@ impl Server {
                         if let Some(interval) = config.monitor_interval {
                             if last_tick.elapsed() >= interval {
                                 last_tick = Instant::now();
-                                let mut guard = lock_server(server);
-                                match catch_unwind(AssertUnwindSafe(|| guard.tick_monitor(1))) {
-                                    Ok(report) => {
-                                        for event in &report.events {
-                                            emit(
-                                                Level::Info,
-                                                "serve.monitor",
-                                                format!(
-                                                    "{} [{}] {}",
-                                                    event.job, event.kind, event.detail
-                                                ),
-                                            );
-                                        }
-                                    }
-                                    Err(payload) => {
-                                        guard.health.handler_panics += 1;
-                                        emit(
-                                            Level::Error,
-                                            "serve.monitor",
-                                            format!(
-                                                "background tick panicked (contained): {}",
-                                                panic_message(payload.as_ref())
-                                            ),
-                                        );
-                                    }
-                                }
+                                background_tick(server);
                             }
                         }
                         std::thread::sleep(Duration::from_millis(20));
@@ -1170,54 +1077,49 @@ impl Server {
     }
 }
 
+/// One background monitor tick, its applied adaptations logged to stderr
+/// and a panic contained.
+fn background_tick(server: &Mutex<Server>) {
+    let mut guard = lock_server(server, None).expect("an unbounded wait takes the lock");
+    match contain(&mut guard, |server| server.tick_monitor(1)) {
+        Ok(report) => {
+            for event in &report.events {
+                emit(
+                    Level::Info,
+                    "serve.monitor",
+                    format!("{} [{}] {}", event.job, event.kind, event.detail),
+                );
+            }
+        }
+        Err(message) => emit(
+            Level::Error,
+            "serve.monitor",
+            format!("background tick panicked (contained): {message}"),
+        ),
+    }
+}
+
 /// Run the drain sequence for a SIGTERM, waiting at most `timeout` for
 /// the server lock. A lock that never frees means a wedged handler; the
 /// journal already holds every observed epoch, so exiting without the
 /// final flush loses nothing that matters.
 fn drain_on_term(server: &Mutex<Server>, timeout: Duration) {
-    let start = Instant::now();
-    loop {
-        match server.try_lock() {
-            Ok(mut guard) => {
-                let (response, _) = guard.handle(&Request::Drain);
-                emit(
-                    Level::Warn,
-                    "serve.tcp",
-                    format!("SIGTERM drain: {}", render_response(&response)),
-                );
-                return;
-            }
-            Err(TryLockError::Poisoned(poisoned)) => {
-                server.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.health.lock_recoveries += 1;
-                let (response, _) = guard.handle(&Request::Drain);
-                emit(
-                    Level::Error,
-                    "serve.tcp",
-                    format!(
-                        "SIGTERM drain (recovered lock): {}",
-                        render_response(&response)
-                    ),
-                );
-                return;
-            }
-            Err(TryLockError::WouldBlock) => {
-                if start.elapsed() >= timeout {
-                    emit(
-                        Level::Error,
-                        "serve.tcp",
-                        format!(
-                            "SIGTERM drain: server lock still held after {timeout:?}; \
-                             exiting on the journal"
-                        ),
-                    );
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
+    let Some(mut guard) = lock_server(server, Some(timeout)) else {
+        emit(
+            Level::Error,
+            "serve.tcp",
+            format!(
+                "SIGTERM drain: server lock still held after {timeout:?}; exiting on the journal"
+            ),
+        );
+        return;
+    };
+    let (response, _) = guard.handle(&Request::Drain);
+    emit(
+        Level::Warn,
+        "serve.tcp",
+        format!("SIGTERM drain: {}", render_response(&response)),
+    );
 }
 
 #[cfg(unix)]
@@ -1269,108 +1171,121 @@ fn sigterm_pending() -> bool {
 /// closes only that connection.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Lock the shared server, *recovering* a poisoned lock.
+/// Lock the shared server — the only place the server mutex is taken.
 ///
-/// The lock only poisons if a handler panicked while holding it; every
-/// dispatch path wraps handlers in `catch_unwind`, so poison here means a
-/// panic escaped some unguarded path. The state itself is still
-/// consistent enough to serve (handlers mutate through `&mut self` in
-/// small steps and jobs are independent), and a daemon that answers
-/// `error` beats one that unwinds every connection thread — so recover,
-/// count it, and keep serving.
-fn lock_server<'a>(server: &'a Mutex<Server>) -> MutexGuard<'a, Server> {
-    let waited = Instant::now();
-    let guard = match server.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            server.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.health.lock_recoveries += 1;
-            emit(
-                Level::Error,
-                "serve.lock",
-                "server lock was poisoned; recovered and serving on",
-            );
-            guard
-        }
+/// With `patience`, the lock is polled every millisecond instead of
+/// blocked on, and `None` comes back once `patience` has passed without
+/// it; without, the wait is unbounded and always ends with the lock.
+/// Every taken lock records its wait in the lock-wait histogram.
+///
+/// A poisoned lock is *recovered*. The lock only poisons if a panic
+/// escaped while it was held; request handlers and background ticks run
+/// under [`contain`], so poison here means a panic escaped some unguarded
+/// path. The state itself is still consistent enough to serve (handlers
+/// mutate through `&mut self` in small steps and jobs are independent),
+/// and a daemon that answers `error` beats one that unwinds every
+/// connection thread — so recover, count it, and keep serving.
+fn lock_server(
+    server: &Mutex<Server>,
+    patience: Option<Duration>,
+) -> Option<MutexGuard<'_, Server>> {
+    let start = Instant::now();
+    let locked = match patience {
+        None => server.lock(),
+        Some(patience) => loop {
+            match server.try_lock() {
+                Ok(guard) => break Ok(guard),
+                Err(TryLockError::Poisoned(poisoned)) => break Err(poisoned),
+                Err(TryLockError::WouldBlock) if start.elapsed() >= patience => return None,
+                Err(TryLockError::WouldBlock) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        },
     };
-    ServeMetrics::get().record_lock_wait(waited.elapsed());
-    guard
+    let guard = locked.unwrap_or_else(|poisoned| {
+        server.clear_poison();
+        let mut guard = poisoned.into_inner();
+        guard.health.lock_recoveries += 1;
+        emit(
+            Level::Error,
+            "serve.lock",
+            "server lock was poisoned; recovered and serving on",
+        );
+        guard
+    });
+    ServeMetrics::get().record_lock_wait(start.elapsed());
+    Some(guard)
 }
 
-/// Dispatch one parsed request under the shared lock, containing handler
-/// panics: a panic becomes an `error` response plus a health counter, and
-/// because the guard outlives the `catch_unwind` closure the lock is
-/// released normally — not poisoned — afterwards.
-///
-/// With a `deadline`, the lock is polled instead of blocked on: a request
-/// that cannot be served within the deadline is shed with an `overloaded`
-/// response (counted in `tcp`), so one slow drain cannot stack every
-/// other session behind it without bound.
+/// Run `work` on the locked server, containing a panic: it is counted in
+/// `handler_panics` and its message comes back as the error. Because the
+/// guard outlives the `catch_unwind` closure, the lock is then released
+/// normally — not poisoned.
+fn contain<T>(server: &mut Server, work: impl FnOnce(&mut Server) -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| work(server))).map_err(|payload| {
+        server.health.handler_panics += 1;
+        panic_message(payload.as_ref()).to_string()
+    })
+}
+
+/// Answer one request line: trim it, skip it (`None`) when blank or a `#`
+/// comment, else parse it and hand the request to `answer` — or reply
+/// `bad request` when it does not parse. The stdio and TCP transports
+/// both serve their lines through here.
+fn answer_line(
+    line: &str,
+    answer: impl FnOnce(&Request) -> (Response, bool),
+) -> Option<(Response, bool)> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return None;
+    }
+    Some(match parse_request(line) {
+        Ok(request) => answer(&request),
+        Err(e) => (
+            Response::Error {
+                message: format!("bad request: {e}"),
+            },
+            false,
+        ),
+    })
+}
+
+/// Dispatch one parsed TCP request under the shared lock, waiting for it
+/// at most `request_deadline`: a request that cannot be served in time is
+/// shed with an `overloaded` response (counted in `tcp`), so one slow
+/// drain cannot stack every other session behind it without bound. A
+/// handler panic becomes an `error` response.
 fn dispatch(
     server: &Mutex<Server>,
     request: &Request,
-    deadline: Option<(&TcpCounters, &TcpConfig)>,
+    tcp: &TcpCounters,
+    config: &TcpConfig,
 ) -> (Response, bool) {
     // One trace per TCP request, labeled by verb: the lock wait and the
     // handler (and everything the handler fans out to) nest under it.
     let _root = streamtune_telemetry::root_span(request.verb(), "serve.dispatch", "dispatch");
     let lock_span = streamtune_telemetry::child_span("serve.dispatch", "lock_acquire");
-    let mut guard = match deadline {
-        None => lock_server(server),
-        Some((tcp, config)) => {
-            let start = Instant::now();
-            let guard = loop {
-                match server.try_lock() {
-                    Ok(guard) => break guard,
-                    Err(TryLockError::Poisoned(poisoned)) => {
-                        server.clear_poison();
-                        let mut guard = poisoned.into_inner();
-                        guard.health.lock_recoveries += 1;
-                        emit(
-                            Level::Error,
-                            "serve.lock",
-                            "server lock was poisoned; recovered and serving on",
-                        );
-                        break guard;
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        if start.elapsed() >= config.request_deadline {
-                            tcp.deadlines_expired.fetch_add(1, Ordering::Relaxed);
-                            return (
-                                Response::Overloaded {
-                                    retry_after_ms: config.retry_after_ms,
-                                    reason: "deadline".to_string(),
-                                },
-                                false,
-                            );
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            };
-            ServeMetrics::get().record_lock_wait(start.elapsed());
-            guard
-        }
+    let Some(mut guard) = lock_server(server, Some(config.request_deadline)) else {
+        tcp.deadlines_expired.fetch_add(1, Ordering::Relaxed);
+        return (
+            Response::Overloaded {
+                retry_after_ms: config.retry_after_ms,
+                reason: "deadline".to_string(),
+            },
+            false,
+        );
     };
     // Close the lock-wait span before the handler runs: the handler's
     // span is a *sibling* of the wait, not its child.
     drop(lock_span);
-    match catch_unwind(AssertUnwindSafe(|| guard.handle(request))) {
-        Ok(result) => result,
-        Err(payload) => {
-            guard.health.handler_panics += 1;
-            (
-                Response::Error {
-                    message: format!(
-                        "internal error: request handler panicked: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                },
-                false,
-            )
-        }
-    }
+    contain(&mut guard, |server| server.handle(request)).unwrap_or_else(|message| {
+        (
+            Response::Error {
+                message: format!("internal error: request handler panicked: {message}"),
+            },
+            false,
+        )
+    })
 }
 
 /// Send `response` as one protocol line: render, append the newline, then
@@ -1418,19 +1333,10 @@ fn serve_connection(
                 if buf.len() > MAX_LINE_BYTES {
                     return refuse_oversized(&mut writer, buf.len());
                 }
-                let trimmed = buf.trim().to_string();
+                let reply = answer_line(&buf, |request| dispatch(server, request, tcp, config));
                 buf.clear();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
+                let Some((response, stop)) = reply else {
                     continue;
-                }
-                let (response, stop) = match parse_request(&trimmed) {
-                    Ok(request) => dispatch(server, &request, Some((tcp, config))),
-                    Err(e) => (
-                        Response::Error {
-                            message: format!("bad request: {e}"),
-                        },
-                        false,
-                    ),
                 };
                 write_reply(&mut writer, &response)?;
                 if stop {

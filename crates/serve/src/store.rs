@@ -323,19 +323,9 @@ impl ModelStore {
         self.model_path().is_file()
     }
 
-    /// Whether a GED-cache snapshot is present.
-    pub fn has_ged_cache(&self) -> bool {
-        self.ged_cache_path().is_file()
-    }
-
     /// Whether a job ledger is present.
     pub fn has_jobs(&self) -> bool {
         self.jobs_path().is_file()
-    }
-
-    /// Whether a training corpus is present.
-    pub fn has_corpus(&self) -> bool {
-        self.corpus_path().is_file()
     }
 
     fn ensure_dir(&self) -> Result<(), StoreError> {
@@ -492,11 +482,6 @@ impl ModelStore {
         write_envelope(&self.jobs_path(), &jobs.to_vec())
     }
 
-    /// Load the completed-job ledger.
-    pub fn load_jobs(&self) -> Result<Vec<PersistedJob>, StoreError> {
-        read_envelope(&self.jobs_path())
-    }
-
     /// Persist the decision audit trail.
     pub fn save_decisions(&self, decisions: &[DecisionRecord]) -> Result<(), StoreError> {
         self.ensure_dir()?;
@@ -512,11 +497,6 @@ impl ModelStore {
     pub fn save_corpus(&self, corpus: &[ExecutionRecord]) -> Result<(), StoreError> {
         self.ensure_dir()?;
         write_envelope(&self.corpus_path(), &corpus.to_vec())
-    }
-
-    /// Load the training corpus.
-    pub fn load_corpus(&self) -> Result<Vec<ExecutionRecord>, StoreError> {
-        read_envelope(&self.corpus_path())
     }
 
     /// File-level statistics (sizes in bytes; 0 when absent) — the

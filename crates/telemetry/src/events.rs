@@ -1,8 +1,7 @@
-//! Leveled structured events, timed spans and the bounded ring-buffer
-//! [`EventLog`].
+//! Leveled structured events and the bounded ring-buffer [`EventLog`].
 //!
 //! Events replace bare `eprintln!` call sites: each is a typed record
-//! (level, target, message, optional fields, optional elapsed time) that
+//! (level, target, message, optional fields) that
 //! is (1) kept in a bounded in-memory ring for inspection, (2) optionally
 //! streamed as one JSONL line to an attached writer (`--trace-log`), and
 //! (3) echoed to stderr as one human-readable line when at or above the
@@ -17,12 +16,12 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// Diagnostic detail (phase timings, span completions).
+    /// Diagnostic detail (phase timings).
     Debug,
     /// Normal operational milestones (drain started, listener up).
     Info,
@@ -59,8 +58,6 @@ pub struct Event {
     pub message: String,
     /// Structured key/value fields.
     pub fields: Vec<(String, String)>,
-    /// Elapsed wall-clock nanoseconds, for span-completion events.
-    pub elapsed_nanos: Option<u64>,
 }
 
 impl Event {
@@ -92,10 +89,6 @@ impl Event {
             }
             out.push('}');
         }
-        if let Some(nanos) = self.elapsed_nanos {
-            out.push_str(",\"elapsed_nanos\":");
-            out.push_str(&nanos.to_string());
-        }
         out.push('}');
         out
     }
@@ -109,9 +102,6 @@ impl Event {
         );
         for (k, v) in &self.fields {
             line.push_str(&format!(" {k}={v}"));
-        }
-        if let Some(nanos) = self.elapsed_nanos {
-            line.push_str(&format!(" elapsed={}us", nanos / 1_000));
         }
         line
     }
@@ -207,21 +197,13 @@ impl EventLog {
         self.lock().writer = Some(writer);
     }
 
-    /// Detach the JSONL writer (flushing it first).
-    pub fn clear_writer(&self) {
-        let mut inner = self.lock();
-        if let Some(mut w) = inner.writer.take() {
-            let _ = w.flush();
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, LogInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Emit an event with no structured fields.
     pub fn emit(&self, level: Level, target: &str, message: String) {
-        self.push(level, target, message, Vec::new(), None);
+        self.push(level, target, message, Vec::new());
     }
 
     /// Emit an event with structured fields.
@@ -230,17 +212,10 @@ impl EventLog {
             .iter()
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        self.push(level, target, message, fields, None);
+        self.push(level, target, message, fields);
     }
 
-    fn push(
-        &self,
-        level: Level,
-        target: &str,
-        message: String,
-        mut fields: Vec<(String, String)>,
-        elapsed_nanos: Option<u64>,
-    ) {
+    fn push(&self, level: Level, target: &str, message: String, mut fields: Vec<(String, String)>) {
         let recording = crate::enabled();
         let echo_at = self.echo.load(Ordering::Relaxed);
         let echo = echo_at != 0 && level_code(level) >= echo_at;
@@ -265,7 +240,6 @@ impl EventLog {
             target: target.to_string(),
             message,
             fields,
-            elapsed_nanos,
         };
         if echo {
             eprintln!("{}", event.echo_line());
@@ -320,66 +294,6 @@ impl EventLog {
     /// JSONL write failures so far.
     pub fn write_errors(&self) -> u64 {
         self.lock().write_errors
-    }
-}
-
-/// A timed span: emits one event carrying `elapsed_nanos` when finished
-/// (or dropped). Build via [`crate::span`] or [`Span::new`], attach
-/// fields with [`Span::field`].
-pub struct Span {
-    log: &'static EventLog,
-    level: Level,
-    target: &'static str,
-    name: String,
-    fields: Vec<(String, String)>,
-    start: Instant,
-    done: bool,
-}
-
-impl Span {
-    /// Start a span against `log` now.
-    pub fn new(log: &'static EventLog, level: Level, target: &'static str, name: String) -> Self {
-        Span {
-            log,
-            level,
-            target,
-            name,
-            fields: Vec::new(),
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Attach a structured field.
-    pub fn field(mut self, key: &str, value: impl ToString) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Finish now (otherwise Drop finishes it).
-    pub fn finish(mut self) {
-        self.complete();
-    }
-
-    fn complete(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.log.push(
-            self.level,
-            self.target,
-            std::mem::take(&mut self.name),
-            std::mem::take(&mut self.fields),
-            Some(elapsed),
-        );
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.complete();
     }
 }
 
@@ -507,13 +421,11 @@ mod tests {
             target: "a.b".into(),
             message: "he said \"hi\"\nback\\slash".into(),
             fields: vec![("k".into(), "v1\tv2".into())],
-            elapsed_nanos: Some(42),
         };
         let line = e.to_jsonl();
         assert!(line.contains(r#"\"hi\""#), "{line}");
         assert!(line.contains(r"\n"), "{line}");
         assert!(line.contains(r"\\slash"), "{line}");
-        assert!(line.contains(r#""fields":{"k":"v1\tv2"}"#), "{line}");
-        assert!(line.ends_with(r#""elapsed_nanos":42}"#), "{line}");
+        assert!(line.ends_with(r#""fields":{"k":"v1\tv2"}}"#), "{line}");
     }
 }

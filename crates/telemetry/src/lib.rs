@@ -16,8 +16,8 @@
 //!   unit for latency histograms is **nanoseconds**; virtual durations
 //!   (e.g. never-slept retry backoff) are recorded as virtual
 //!   nanoseconds so one exposition pipeline serves both.
-//! * [`events`] — leveled structured events and timed spans in a bounded
-//!   ring buffer ([`EventLog`]), optionally streamed as JSONL to a writer
+//! * [`events`](mod@events) — leveled structured events in a bounded ring buffer
+//!   ([`EventLog`]), optionally streamed as JSONL to a writer
 //!   (`--trace-log`, size-capped via [`RotatingWriter`]) and echoed to
 //!   stderr at or above a threshold level, replacing bare `eprintln!`
 //!   call sites with typed, queryable records.
@@ -26,7 +26,7 @@
 //!   (across threads via [`trace::attach`]), finished trees land in the
 //!   bounded [`TraceStore`], and [`chrome_trace`] exports them as Chrome
 //!   trace-event JSON (loadable in Perfetto).
-//! * [`history`] — a fixed-capacity ring of registry-snapshot *deltas*
+//! * [`history`](mod@history) — a fixed-capacity ring of registry-snapshot *deltas*
 //!   ([`MetricsHistory`]) giving the daemon a sliding window of per-verb
 //!   rates and interval quantiles, built on the histogram merge algebra.
 //! * [`expose`] — Prometheus text exposition
@@ -47,7 +47,7 @@ pub mod history;
 pub mod metrics;
 pub mod trace;
 
-pub use events::{Event, EventLog, Level, RotatingWriter, Span};
+pub use events::{Event, EventLog, Level, RotatingWriter};
 pub use expose::{check_prometheus, render_prometheus};
 pub use history::{
     history, DeltaValue, HistoryFrame, MetricsHistory, SeriesDelta, DEFAULT_HISTORY_CAPACITY,
@@ -102,10 +102,4 @@ pub fn emit(level: Level, target: &str, message: impl Into<String>) {
 /// Emit an event with structured fields on the global log.
 pub fn emit_with(level: Level, target: &str, message: impl Into<String>, fields: &[(&str, &str)]) {
     events().emit_with(level, target, message.into(), fields);
-}
-
-/// Start a timed span that emits an event (with `elapsed_nanos`) on the
-/// global log when finished or dropped.
-pub fn span(level: Level, target: &'static str, name: impl Into<String>) -> Span {
-    Span::new(events(), level, target, name.into())
 }

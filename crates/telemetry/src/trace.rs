@@ -1,9 +1,8 @@
 //! Causal span-tree tracing: `TraceId`/`SpanId` context propagation and a
 //! bounded per-trace store, exportable as Chrome trace-event JSON.
 //!
-//! Where [`crate::events`] records *flat* timed spans (one event per
-//! completion), this module records **trees**: a root span opens a trace,
-//! child spans nest under whatever span is current on their thread, and
+//! Spans form **trees**: a root span opens a trace, child spans nest
+//! under whatever span is current on their thread, and
 //! [`attach`] carries the context across thread boundaries (e.g. into
 //! worker-pool closures). Finished spans land in the global [`TraceStore`]
 //! — a bounded ring of traces, each holding a bounded span list — where

@@ -9,7 +9,7 @@
 //! paper's Fig. 5 distribution.
 
 use crate::rates::Engine;
-use crate::{nexmark, pqp, Workload};
+use crate::{nexmark, pqp, splitmix, Workload};
 use serde::{Deserialize, Serialize};
 use streamtune_dataflow::{
     AggregateClass, AggregateFunction, Dataflow, DataflowBuilder, JoinKeyClass, Operator,
@@ -41,13 +41,6 @@ pub const FIG5_DISTRIBUTION: [(usize, f64); 9] = [
     (9, 0.1311),
     (10, 0.0328),
 ];
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 struct Rng64 {
     state: u64,

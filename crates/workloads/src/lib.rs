@@ -124,6 +124,15 @@ pub fn find_workload(name: &str, engine: rates::Engine) -> Option<Workload> {
     named_workloads(engine).into_iter().find(|w| w.name == name)
 }
 
+/// The splitmix64 finalizer: the crate's seeded generators (history
+/// runs, PQP parameters, rate sequences) step their state through it.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
 //! Source-rate units (paper Table II) and the periodic rate pattern (§V-A).
 
+use crate::splitmix;
 use serde::{Deserialize, Serialize};
 use streamtune_sim::SimCluster;
 
@@ -66,13 +67,6 @@ pub fn pqp_unit(template: &str) -> f64 {
 
 /// The basic 10-step source-rate cycle of §V-A, in `Wu` multipliers.
 pub const BASE_CYCLE: [f64; 10] = [3.0, 7.0, 4.0, 2.0, 1.0, 10.0, 8.0, 5.0, 6.0, 9.0];
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One 20-step periodic sequence: the base cycle replicated twice.
 pub fn periodic_sequence() -> Vec<f64> {

@@ -151,9 +151,10 @@
 //! recommendations online, then keep them good as workloads drift —
 //! without ever re-running the offline phase from scratch.
 //!
-//! 1. **Offline** — `streamtune pretrain` (or [`Server::bootstrap`]
-//!    (serve::Server::bootstrap) on a store miss) builds the clustered
-//!    GNN corpus and fills the [`GedCache`](ged::GedCache).
+//! 1. **Offline** — `streamtune pretrain` (or
+//!    [`Server::bootstrap`](serve::Server::bootstrap) on a store miss)
+//!    builds the clustered GNN corpus and fills the
+//!    [`GedCache`](ged::GedCache).
 //! 2. **Serve** — jobs are submitted, assigned and tuned; results are
 //!    answered from the shared model.
 //! 3. **Monitor** — `watch` registers a finished job with the
@@ -213,7 +214,7 @@
 //!    over the scriptable [`MockFlinkServer`](connect::MockFlinkServer)
 //!    is *bitwise* identical to the `SimCluster` run it fronts, faults
 //!    or no faults.
-//! 3. **Offline** — [`connect::ingest`] streams multi-million-row JSONL
+//! 3. **Offline** — [`connect::ingest`](mod@connect::ingest) streams multi-million-row JSONL
 //!    metric dumps (line at a time, per-operator accumulators, bounded
 //!    memory) into replayable [`TraceLog`](backend::TraceLog)s plus
 //!    monitor-ready rate schedules. `streamtune ingest --input dump.jsonl
@@ -320,8 +321,9 @@
 //!   (`streamtune serve --trace-log FILE`, size-capped with
 //!   `--trace-log-cap BYTES` via [`telemetry::RotatingWriter`], which
 //!   rotates the live file to `FILE.1`) and echoed to stderr at or
-//!   above a threshold; timed [`Span`](telemetry::Span)s record elapsed
-//!   nanoseconds on drop. The daemon's former bare `eprintln!` lines
+//!   above a threshold; an event raised inside a causal span (see the
+//!   flight recorder below) carries its trace and span ids. The daemon's
+//!   former bare `eprintln!` lines
 //!   (store recovery, SIGTERM drain, connection errors, monitor
 //!   adaptations) are all events now.
 //! * **Exposition** — the `metrics` protocol verb returns the registry
@@ -353,7 +355,7 @@
 //!     rejected candidate assignments. The `explain <job>` verb serves
 //!     it across daemon restarts (`tests/flight_recorder.rs`).
 //!   * *metrics history* — a fixed-capacity ring of periodic
-//!     registry-snapshot deltas ([`telemetry::history`], frames of
+//!     registry-snapshot deltas ([`telemetry::history`](mod@telemetry::history), frames of
 //!     counter deltas, gauge values and histogram quantiles) behind the
 //!     `metrics_history` verb ([`serve::history_value`]) and
 //!     `GET /metrics/history.json`; `streamtune top --connect

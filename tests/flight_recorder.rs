@@ -12,7 +12,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use streamtune::core::Parallelism;
 use streamtune::prelude::*;
-use streamtune::serve::{Response, ServerConfig};
+use streamtune::serve::{Response, ServerConfig, TcpConfig};
 use streamtune::workloads::history::HistoryGenerator;
 use streamtune::workloads::rates::Engine;
 
@@ -129,7 +129,7 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     let server = Mutex::new(server_with(None));
 
     let (submit_payload, payload) = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
         let mut client = Client::connect(addr);
         assert!(matches!(
             client.request(

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 use streamtune::core::Parallelism;
 use streamtune::prelude::*;
-use streamtune::serve::{Response, ServerConfig};
+use streamtune::serve::{Response, ServerConfig, TcpConfig};
 use streamtune::workloads::history::HistoryGenerator;
 
 fn server() -> Server {
@@ -57,7 +57,7 @@ fn concurrent_clients_share_the_daemon_and_disconnects_are_harmless() {
     let server = Mutex::new(server());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
 
         // Client A: garbage, then half a line, then a hard disconnect.
         {
@@ -133,7 +133,7 @@ fn hostile_clients_do_not_take_the_daemon_down() {
     let server = Mutex::new(server());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
 
         // Slowloris: a valid request dribbled one byte at a time, each gap
         // longer than the server's read timeout, so the partial line must
@@ -243,7 +243,7 @@ fn deeply_nested_line_is_an_error_and_the_daemon_keeps_serving() {
     let server = Mutex::new(server());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
 
         // 10,000 open brackets: far under the line cap, far past the
         // parser's nesting limit. Parsed recursively on the session
@@ -282,7 +282,7 @@ fn slow_client_does_not_block_others() {
     let server = Mutex::new(server());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
 
         // An idle connection that never sends anything…
         let _lurker = TcpStream::connect(addr).expect("connect lurker");
@@ -316,7 +316,7 @@ fn closed_loop_round_trips_do_not_stall() {
     let server = Mutex::new(server());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("client TCP_NODELAY");
         let mut client = Client {
@@ -351,8 +351,6 @@ fn closed_loop_round_trips_do_not_stall() {
 
 #[test]
 fn overload_flood_sheds_exactly_the_excess_with_structured_responses() {
-    use streamtune::serve::TcpConfig;
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let server = Mutex::new(server());
@@ -364,7 +362,7 @@ fn overload_flood_sheds_exactly_the_excess_with_structured_responses() {
     };
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp_with(&server, &listener, config));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, config));
 
         // Admit exactly CAP sessions, proving each is live (the round trip
         // guarantees its accept — and the session count — happened).
@@ -475,8 +473,6 @@ fn overload_flood_sheds_exactly_the_excess_with_structured_responses() {
 
 #[test]
 fn requests_past_the_deadline_are_shed_and_the_session_survives() {
-    use streamtune::serve::TcpConfig;
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let server = Mutex::new(server());
@@ -486,7 +482,7 @@ fn requests_past_the_deadline_are_shed_and_the_session_survives() {
     };
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp_with(&server, &listener, config));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, config));
         let mut client = Client::connect(addr);
         assert!(matches!(client.request("\"status\""), Response::Status(_)));
 
@@ -553,7 +549,7 @@ fn metrics_endpoint_serves_valid_prometheus_text_alongside_the_protocol() {
     let scrape = endpoint.local_addr();
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
         let mut client = Client::connect(addr);
         assert!(matches!(
             client.request(
@@ -628,7 +624,7 @@ fn drain_verb_finishes_work_flushes_the_store_and_stops_the_daemon() {
     let server = Mutex::new(boot);
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
         let mut client = Client::connect(addr);
         // A queued job that only a drain will run.
         assert!(matches!(
@@ -691,7 +687,7 @@ fn a_poisoned_server_lock_is_recovered_once_and_counted() {
     assert!(server.is_poisoned());
 
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, None));
+        let daemon = scope.spawn(|| Server::serve_tcp(&server, &listener, TcpConfig::default()));
         let mut client = Client::connect(addr);
         // The first request after the poisoning is answered normally, and
         // the recovery is counted exactly once.
