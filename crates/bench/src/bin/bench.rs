@@ -9,7 +9,8 @@
 //!   tuning iteration across the PQP template families and methods;
 //! * `BENCH_serve.json` — per-verb daemon request latency (p50/p99 read
 //!   from the `streamtune-telemetry` histograms after a scripted flood
-//!   against an in-process `Server`).
+//!   against an in-process `Server`): the read verbs, then `submit`
+//!   (admission and placement of jobs that no later verb drains).
 //!
 //! Both files are meant to be checked in whenever the hot path changes, so
 //! the performance trajectory of the repository is tracked in-tree. Seeds
@@ -93,11 +94,18 @@ struct ServeBench {
 }
 
 fn bench_serve(fast: bool) -> ServeBench {
-    use streamtune_serve::{Request, Server, ServerConfig};
+    use streamtune_serve::{BackendSpec, JobSpec, Request, Response, Server, ServerConfig};
     use streamtune_telemetry::MetricValue;
+    use streamtune_workloads::{named_workloads, rates::Engine};
 
     let seed = 91u64;
     let flood = if fast { 500u64 } else { 5_000 };
+    // At most one submit per distinct DAG structure (9 in the catalog)
+    // runs a GED pass; 2,000 submits keep those under 1% of the samples,
+    // so p99 measures a placement served by the memo. The count is the
+    // same with and without `--fast`, so `--check` compares like with
+    // like (the ledger's growth steps also land in the tail).
+    let submits = 2_000u64;
     let (mut server, _) = Server::bootstrap(
         None,
         ServerConfig::fast().with_parallelism(streamtune_core::Parallelism::Serial),
@@ -136,10 +144,38 @@ fn bench_serve(fast: bool) -> ServeBench {
             server.handle(request);
         }
     }
+    // Fresh jobs with unique names, cycling over the named queries. They
+    // come after the read floods because the read verbs drain the queue:
+    // every submit measures admission alone, with no tuning run.
+    let queries: Vec<String> = named_workloads(Engine::Flink)
+        .into_iter()
+        .map(|w| w.name)
+        .collect();
+    let submit_requests: Vec<Request> = (0..submits)
+        .zip(queries.iter().cycle())
+        .map(|(i, query)| {
+            Request::Submit(JobSpec {
+                name: format!("flood-{i}"),
+                query: query.clone(),
+                multiplier: 6.0,
+                seed: i,
+                engine: Engine::Flink,
+                backend: BackendSpec::Sim,
+            })
+        })
+        .collect();
+    for request in &submit_requests {
+        let (reply, _) = server.handle(request);
+        assert!(
+            matches!(reply, Response::Submitted { .. }),
+            "flood submit refused: {reply:?}"
+        );
+    }
     let snapshot = streamtune_telemetry::global().snapshot();
     let mut rows = Vec::new();
     let mut table = Vec::new();
-    for (verb, _) in &verbs {
+    let measured = verbs.iter().map(|(verb, _)| *verb).chain(["submit"]);
+    for verb in measured {
         let series = snapshot
             .find("streamtune_request_duration_nanoseconds", &[("verb", verb)])
             .expect("flooded verb has a latency histogram");

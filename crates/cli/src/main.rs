@@ -95,8 +95,8 @@ use streamtune_serve::{
     BackendSpec, DriftReport, ModelStore, Request, Response, Server, ServerConfig, TcpConfig,
 };
 use streamtune_workloads::history::HistoryGenerator;
-use streamtune_workloads::named_workloads;
 use streamtune_workloads::rates::Engine;
+use streamtune_workloads::{find_workload, named_workloads};
 
 mod args;
 mod error;
@@ -245,12 +245,9 @@ fn cmd_tune(args: &Args) -> Result<(), CliError> {
     let multiplier: f64 = args.parse_or("multiplier", 10.0)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let engine = args.engine()?;
-    let workload = named_workloads(engine)
-        .into_iter()
-        .find(|w| w.name == query)
-        .ok_or(CliError::UnknownWorkload {
-            query: query.clone(),
-        })?;
+    let workload = find_workload(&query, engine).ok_or(CliError::UnknownWorkload {
+        query: query.clone(),
+    })?;
     let flow = workload.at(multiplier);
 
     let retry = retry_policy(args, RetryPolicy::default())?;

@@ -159,6 +159,8 @@ impl Pretrained {
     /// Pure: runs fresh threshold-pruned A\* searches against the stored
     /// centers without touching any [`GedCache`] memoization state, so
     /// audit-trail capture can never perturb later assignment decisions.
+    /// The daemon's job manager (`streamtune-serve`) memoizes the result
+    /// per DAG structure.
     pub fn center_distances(&self, flow: &Dataflow) -> Vec<usize> {
         let view = GraphView::of(flow);
         self.clusters

@@ -34,7 +34,9 @@ pub use signature::GraphSignature;
 /// that operator. Degrees are ≥ 1.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ParallelismAssignment {
-    degrees: Vec<u32>,
+    /// A boxed slice, not a `Vec`: an assignment never changes length,
+    /// and the daemon keeps one per finished job.
+    degrees: Box<[u32]>,
 }
 
 /// A degree vector that cannot form a valid [`ParallelismAssignment`].
@@ -80,7 +82,9 @@ impl ParallelismAssignment {
     pub fn try_from_vec(degrees: Vec<u32>) -> Result<Self, AssignmentError> {
         match degrees.iter().position(|&d| d == 0) {
             Some(index) => Err(AssignmentError::ZeroDegree { index }),
-            None => Ok(Self { degrees }),
+            None => Ok(Self {
+                degrees: degrees.into_boxed_slice(),
+            }),
         }
     }
 

@@ -12,8 +12,9 @@
 //! built exclusively from deterministic inputs (per-instance
 //! [`GedCacheStats`](streamtune_ged::GedCacheStats), and the pure
 //! [`center_distances`](streamtune_core::Pretrained::center_distances)
-//! A\* runs that placed the job at admission and never touch cache
-//! memoization), so recording a decision
+//! A\* runs that placed the job's DAG structure under the live model,
+//! reused for every job of that structure and never touching the GED
+//! cache), so recording a decision
 //! can never perturb the decision itself — tuning outcomes with auditing
 //! compiled in are bit-identical to the pre-audit daemon. The only
 //! wall-clock field, `ts_millis`, is observational and never compared.

@@ -5,9 +5,12 @@
 //! `StreamTune` fine-tuning state, while the [`Pretrained`] corpus is
 //! shared read-only. A job is placed when it is queued: one
 //! nearest-center GED pass over its flow gives its distance to every
-//! cluster center, and the nearest center is its cluster. The run tunes
-//! in that cluster and copies the distances into its decision record
-//! without a GED pass of its own; a model swap places every job again.
+//! cluster center, and the nearest center is its cluster. The pass
+//! depends only on the DAG's structure, so it runs once per structure
+//! under each model and later jobs of that structure reuse its distances.
+//! The run tunes in that cluster and copies the distances into its
+//! decision record without a GED pass of its own; a model swap places
+//! every job again.
 //! Placement and run are both pure functions of `(pretrained, spec)`,
 //! which is what makes the worker-pool fan-out deterministic: any thread
 //! count ([`Parallelism`]) and any submission interleaving produce
@@ -27,16 +30,18 @@ use crate::error::ServeError;
 use crate::journal::{journal_file_name, JournaledBackend};
 use crate::protocol::{BackendSpec, JobSpec, JobStatusLine};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use streamtune_backend::{
     ExecutionBackend, FaultPlan, RetryPolicy, RetryStats, TraceEntry, TuneError, TuneOutcome,
     TuningSession,
 };
 use streamtune_connect::{ingest_file, IngestConfig};
 use streamtune_core::{Pretrained, StreamTune, TuneConfig, WarmFits};
-use streamtune_ged::{parallel_map, GedCacheStats, Parallelism};
+use streamtune_dataflow::OperatorKind;
+use streamtune_ged::{parallel_map, GedCacheStats, GraphView, Parallelism};
 use streamtune_workloads::find_workload;
 
 /// A finished job's tuning result.
@@ -99,10 +104,6 @@ pub struct Job {
     /// over every run (initial tune plus re-tunes); `None` while every
     /// counter is zero. Read it through [`Job::retry`].
     pub retry: Option<Box<RetryStats>>,
-    /// Why the *next* run of the job will happen (one of the
-    /// [`decision::trigger`] names) — copied into the run's
-    /// [`DecisionRecord`]. Not persisted: terminal jobs do not run again.
-    pub trigger: &'static str,
 }
 
 impl Job {
@@ -158,8 +159,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// What admission leaves a queued job for its next drain, which consumes
-/// it. Every queued job has one; a drained or cancelled job has none.
-#[derive(Debug, Default)]
+/// it. Every queued job has one; a drained or cancelled job has none, so
+/// per-run state lives here rather than in every ledger entry.
+#[derive(Debug)]
 struct Admission {
     /// Capped GED from the job's flow to every cluster center of the live
     /// model, in cluster order; [`Job::cluster`] is its argmin. Copied
@@ -168,18 +170,30 @@ struct Admission {
     /// Journaled epochs recovered at bootstrap, replayed instead of
     /// re-tuned (empty unless the job resumes a dead process's run).
     resume: Vec<TraceEntry>,
+    /// Why the run happens (one of the [`decision::trigger`] names),
+    /// copied into its [`DecisionRecord`].
+    trigger: &'static str,
+}
+
+impl Default for Admission {
+    fn default() -> Self {
+        Admission {
+            distances: Vec::new(),
+            resume: Vec::new(),
+            trigger: decision::trigger::SUBMIT,
+        }
+    }
 }
 
 /// One queued job's run, gathered before the drain fans out: its ledger
-/// position, spec, placement, journal (`None` when journaling is off or
-/// the backend cannot resume) and [`decision::trigger`].
+/// position, spec, placement and journal (`None` when journaling is off
+/// or the backend cannot resume).
 struct RunInput<'a> {
     index: usize,
     spec: &'a JobSpec,
     cluster: usize,
     admission: Admission,
     journal: Option<PathBuf>,
-    trigger: &'static str,
 }
 
 /// Whether a spec's backend is journal/resume-capable: deterministic
@@ -345,7 +359,7 @@ fn run_job_inner(env: RunEnv<'_>, run: &RunInput<'_>) -> RunReport {
             let view = streamtune_ged::GraphView::of(&flow);
             let decision = DecisionRecord {
                 job: spec.name.clone(),
-                trigger: run.trigger.to_string(),
+                trigger: admission.trigger.to_string(),
                 query: spec.query.clone(),
                 multiplier: spec.multiplier,
                 seed: spec.seed,
@@ -397,23 +411,109 @@ fn run_job_inner(env: RunEnv<'_>, run: &RunInput<'_>) -> RunReport {
     }
 }
 
-/// Job positions keyed by a 64-bit hash of the job name, so the ledger
-/// stores each name once (in its spec). Colliding names take the next
-/// free key (linear probing); positions are only removed by a full
-/// [`NameIndex::rebuild`], so probe chains never break.
+/// A DAG structure as GED sees it: the node labels and directed edges of
+/// its [`GraphView`].
+type Structure = (Vec<OperatorKind>, Vec<(usize, usize)>);
+
+/// The live model's placements, memoized per DAG structure. A job's
+/// center distances are a function of its flow's [`Structure`] alone —
+/// not of its name, rates or seed — so one GED pass per structure serves
+/// every later job of it. The memo holds at most one entry per structure
+/// of the named-workload catalog (61 workloads, 9 structures), the only
+/// flows a job can name, so it needs no bound. It is tied to the centers
+/// of the model it was filled under: replace it whenever the model
+/// changes.
 #[derive(Debug, Default)]
-struct NameIndex(HashMap<u64, usize>);
+struct Placements {
+    /// Capped GED to every cluster center, in cluster order, by structure.
+    by_structure: HashMap<Structure, Vec<usize>>,
+    /// GED passes run to fill the memo (its misses).
+    computed: u64,
+}
+
+impl Placements {
+    /// Place `spec` on `pretrained`, the model the memo was filled under:
+    /// the job's center distances — from the memo, or from one
+    /// nearest-center GED pass on the first job of its structure — and
+    /// their argmin, ties going to the lower index as in
+    /// [`Pretrained::assign`].
+    fn place(
+        &mut self,
+        pretrained: &Pretrained,
+        spec: &JobSpec,
+    ) -> Result<(usize, Vec<usize>), ServeError> {
+        let workload =
+            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
+                query: spec.query.clone(),
+            })?;
+        let mut span = streamtune_telemetry::child_span("serve.job", "assign_cluster");
+        let (hits, misses) = placement_counters();
+        // Rates do not enter the structure: the catalog flow at 1 Wu has
+        // the same view as the job's flow at its multiplier.
+        let view = GraphView::of(&workload.flow);
+        let distances = match self.by_structure.entry((view.labels, view.edges)) {
+            Entry::Occupied(entry) => {
+                span.add_field("memo", "hit");
+                hits.inc();
+                entry.get().clone()
+            }
+            Entry::Vacant(entry) => {
+                span.add_field("memo", "miss");
+                misses.inc();
+                self.computed += 1;
+                entry
+                    .insert(pretrained.center_distances(&workload.flow))
+                    .clone()
+            }
+        };
+        let (cluster, _) = distances
+            .iter()
+            .enumerate()
+            .min_by_key(|&(c, &d)| (d, c))
+            .expect("a model has at least one cluster");
+        span.add_field("cluster", cluster);
+        Ok((cluster, distances))
+    }
+}
+
+/// `streamtune_placement_total{outcome}`: job placements served by the
+/// memo (`hit`) or by a GED pass (`miss`). Observational.
+fn placement_counters() -> &'static (streamtune_telemetry::Counter, streamtune_telemetry::Counter) {
+    static CELL: OnceLock<(streamtune_telemetry::Counter, streamtune_telemetry::Counter)> =
+        OnceLock::new();
+    CELL.get_or_init(|| {
+        let r = streamtune_telemetry::global();
+        let help = "Job placements on the live model, by outcome (hit: center distances reused for the DAG structure; miss: computed by a GED pass).";
+        (
+            r.counter_with("streamtune_placement_total", help, &[("outcome", "hit")]),
+            r.counter_with("streamtune_placement_total", help, &[("outcome", "miss")]),
+        )
+    })
+}
+
+/// Job positions keyed by a 32-bit hash of the job name, so the ledger
+/// stores each name once (in its spec) and an index entry takes 8 bytes.
+/// Colliding names take the next free key (linear probing); positions are
+/// only removed by a full [`NameIndex::rebuild`], so probe chains never
+/// break.
+#[derive(Debug, Default)]
+struct NameIndex(HashMap<u32, u32>);
 
 impl NameIndex {
+    /// The probe start for `name`: the low half of its FNV-1a 64 hash.
+    fn key(name: &str) -> u32 {
+        crate::store::fnv1a64(name.as_bytes()) as u32
+    }
+
     /// Where `name` sits in `jobs`.
     fn find(&self, jobs: &[Job], name: &str) -> Option<usize> {
-        self.find_from(crate::store::fnv1a64(name.as_bytes()), jobs, name)
+        self.find_from(Self::key(name), jobs, name)
     }
 
     /// [`NameIndex::find`], probing from `key`.
-    fn find_from(&self, mut key: u64, jobs: &[Job], name: &str) -> Option<usize> {
+    fn find_from(&self, mut key: u32, jobs: &[Job], name: &str) -> Option<usize> {
         loop {
-            let &i = self.0.get(&key)?;
+            let i = *self.0.get(&key)? as usize;
             if jobs[i].spec.name == name {
                 return Some(i);
             }
@@ -423,11 +523,12 @@ impl NameIndex {
 
     /// Record that `name` (not yet indexed) sits at `position`.
     fn insert(&mut self, name: &str, position: usize) {
-        self.insert_from(crate::store::fnv1a64(name.as_bytes()), position);
+        self.insert_from(Self::key(name), position);
     }
 
     /// [`NameIndex::insert`], probing from `key`.
-    fn insert_from(&mut self, mut key: u64, position: usize) {
+    fn insert_from(&mut self, mut key: u32, position: usize) {
+        let position = u32::try_from(position).expect("the ledger holds fewer than 2^32 jobs");
         while self.0.contains_key(&key) {
             key = key.wrapping_add(1);
         }
@@ -451,6 +552,10 @@ pub struct JobManager {
     /// The first-iteration `M_f` of each cluster of `pretrained`, fitted
     /// lazily by the first drained job that needs it.
     warm: WarmFits,
+    /// Center distances of `pretrained` per DAG structure (labels and
+    /// edges), filled by admissions: finite, since jobs name workloads of
+    /// the fixed catalog, and replaced on every model swap.
+    placements: Placements,
     parallelism: Parallelism,
     retry: RetryPolicy,
     chaos: Option<u64>,
@@ -480,8 +585,10 @@ pub struct JobManager {
 impl JobManager {
     /// A manager over `pretrained`, draining on `parallelism` workers.
     pub fn new(pretrained: Pretrained, parallelism: Parallelism) -> Self {
+        placement_counters();
         JobManager {
             warm: WarmFits::new(&pretrained, &TuneConfig::default()),
+            placements: Placements::default(),
             pretrained,
             parallelism,
             retry: RetryPolicy::default(),
@@ -545,6 +652,12 @@ impl JobManager {
         &self.warm
     }
 
+    /// Nearest-center GED passes admissions ran under the live model: one
+    /// per distinct DAG structure placed since the model was loaded.
+    pub fn placements_computed(&self) -> u64 {
+        self.placements.computed
+    }
+
     /// Look up a job by name.
     pub fn job(&self, name: &str) -> Option<&Job> {
         self.position(name).map(|i| &self.jobs[i])
@@ -553,28 +666,6 @@ impl JobManager {
     /// Where job `name` sits in the ledger.
     fn position(&self, name: &str) -> Option<usize> {
         self.index.find(&self.jobs, name)
-    }
-
-    /// Place `spec` on the live model: the one nearest-center GED pass a
-    /// queued job gets. Returns the cluster — the argmin of the distances,
-    /// ties going to the lower index as in [`Pretrained::assign`] — and
-    /// the distances.
-    fn place(&self, spec: &JobSpec) -> Result<(usize, Vec<usize>), ServeError> {
-        let workload =
-            find_workload(&spec.query, spec.engine).ok_or_else(|| ServeError::UnknownWorkload {
-                query: spec.query.clone(),
-            })?;
-        let mut span = streamtune_telemetry::child_span("serve.job", "assign_cluster");
-        let distances = self
-            .pretrained
-            .center_distances(&workload.at(spec.multiplier));
-        let (cluster, _) = distances
-            .iter()
-            .enumerate()
-            .min_by_key(|&(c, &d)| (d, c))
-            .expect("a model has at least one cluster");
-        span.add_field("cluster", cluster);
-        Ok((cluster, distances))
     }
 
     /// Place `spec` and queue it: in place of the job at `at` (a re-run,
@@ -590,13 +681,19 @@ impl JobManager {
         trigger: &'static str,
         resume: Option<Vec<TraceEntry>>,
     ) -> Result<usize, ServeError> {
-        let (cluster, distances) = self.place(&spec)?;
+        let (cluster, distances) = self.placements.place(&self.pretrained, &spec)?;
         if let (None, Some(path)) = (&resume, self.journal_path(&spec)) {
             let _ = crate::journal::create_journal(&path, &spec);
         }
         let resume = resume.unwrap_or_default();
-        self.admissions
-            .insert(spec.name.clone(), Admission { distances, resume });
+        self.admissions.insert(
+            spec.name.clone(),
+            Admission {
+                distances,
+                resume,
+                trigger,
+            },
+        );
         match at {
             Some(i) => {
                 let job = &mut self.jobs[i];
@@ -604,7 +701,6 @@ impl JobManager {
                 job.cluster = cluster;
                 job.state = JobState::Queued;
                 job.retunes += 1;
-                job.trigger = trigger;
             }
             None => {
                 self.index.insert(&spec.name, self.jobs.len());
@@ -614,7 +710,6 @@ impl JobManager {
                     state: JobState::Queued,
                     retunes: 0,
                     retry: None,
-                    trigger,
                 });
             }
         }
@@ -643,8 +738,9 @@ impl JobManager {
     }
 
     /// Admit a job: validate its workload, place it (its cluster and the
-    /// distances to every center, the job's one GED pass), start its
-    /// journal and queue it. Returns the cluster.
+    /// distances to every center, memoized per DAG structure: only the
+    /// first job of a structure runs a GED pass), start its journal and
+    /// queue it. Returns the cluster.
     pub fn submit(&mut self, spec: JobSpec) -> Result<usize, ServeError> {
         if self.position(&spec.name).is_some() {
             return Err(ServeError::DuplicateJob { name: spec.name });
@@ -672,15 +768,19 @@ impl JobManager {
     /// new model, queued jobs' center distances included, so their runs
     /// tune and record under the model that serves them. Completed
     /// results are kept — they were computed under the model of their
-    /// epoch — but their cluster labels now reflect the live model.
+    /// epoch — but their cluster labels now reflect the live model. The
+    /// placement memo starts empty under the new centers.
     /// Returns how many jobs changed cluster.
     pub fn swap_pretrained(&mut self, pretrained: Pretrained) -> usize {
         self.warm = WarmFits::new(&pretrained, &TuneConfig::default());
+        self.placements = Placements::default();
         self.pretrained = pretrained;
         self.generation += 1;
         let mut changed = 0;
         for i in 0..self.jobs.len() {
-            let Ok((cluster, distances)) = self.place(&self.jobs[i].spec) else {
+            let Ok((cluster, distances)) =
+                self.placements.place(&self.pretrained, &self.jobs[i].spec)
+            else {
                 continue;
             };
             let job = &mut self.jobs[i];
@@ -768,7 +868,6 @@ impl JobManager {
                     cluster: job.cluster,
                     admission: self.admissions.remove(&job.spec.name).unwrap_or_default(),
                     journal: self.journal_path(&job.spec),
-                    trigger: job.trigger,
                 });
             }
         }
@@ -895,9 +994,6 @@ impl JobManager {
                 state,
                 retunes: p.retunes,
                 retry: boxed_retry(p.retry),
-                // Restored jobs are terminal and never run again; if one
-                // is later re-tuned, `resubmit` overwrites this.
-                trigger: decision::trigger::SUBMIT,
             });
         }
         Ok(())
@@ -1117,7 +1213,7 @@ mod tests {
             std::mem::size_of::<JobSpec>()
         );
         assert!(
-            std::mem::size_of::<Job>() <= 216,
+            std::mem::size_of::<Job>() <= 192,
             "Job is {} B",
             std::mem::size_of::<Job>()
         );
@@ -1131,19 +1227,18 @@ mod tests {
             state: JobState::Queued,
             retunes: 0,
             retry: None,
-            trigger: decision::trigger::SUBMIT,
         };
         let jobs = vec![job("a"), job("b"), job("c")];
         // Three names whose hashes all land on the last key: the probe
         // wraps around to 0 and 1.
         let mut index = NameIndex::default();
         for i in 0..jobs.len() {
-            index.insert_from(u64::MAX, i);
+            index.insert_from(u32::MAX, i);
         }
         for (i, job) in jobs.iter().enumerate() {
-            assert_eq!(index.find_from(u64::MAX, &jobs, &job.spec.name), Some(i));
+            assert_eq!(index.find_from(u32::MAX, &jobs, &job.spec.name), Some(i));
         }
-        assert_eq!(index.find_from(u64::MAX, &jobs, "d"), None);
+        assert_eq!(index.find_from(u32::MAX, &jobs, "d"), None);
         // A rebuild re-keys every job by its own hash.
         index.rebuild(&jobs);
         for (i, job) in jobs.iter().enumerate() {
@@ -1315,6 +1410,79 @@ mod tests {
         mgr.swap_pretrained(swapped);
         assert_eq!(mgr.job("a").unwrap().cluster, expected);
         assert!(matches!(mgr.job("a").unwrap().state, JobState::Done(_)));
+    }
+
+    /// Every named workload's DAG structure, deduplicated.
+    fn named_structures() -> HashSet<Structure> {
+        streamtune_workloads::named_workloads(Engine::Flink)
+            .iter()
+            .map(|w| {
+                let view = GraphView::of(&w.flow);
+                (view.labels, view.edges)
+            })
+            .collect()
+    }
+
+    /// Submit every named workload at `multipliers` and check each job's
+    /// placement against a fresh GED pass of `pre`.
+    fn submit_every_named_workload(mgr: &mut JobManager, pre: &Pretrained, multipliers: &[f64]) {
+        for &multiplier in multipliers {
+            for w in streamtune_workloads::named_workloads(Engine::Flink) {
+                let mut job = spec(&format!("{}@{multiplier}", w.name), &w.name, 1);
+                job.multiplier = multiplier;
+                let flow = w.at(multiplier);
+                let cluster = mgr.submit(job.clone()).unwrap();
+                assert_eq!(cluster, pre.assign(&flow).0, "{}", job.name);
+                assert_eq!(
+                    mgr.admissions[&job.name].distances,
+                    pre.center_distances(&flow),
+                    "{}",
+                    job.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn placement_runs_one_ged_pass_per_dag_structure() {
+        let pre = small_pretrained(3);
+        let mut mgr = JobManager::new(pre.clone(), Parallelism::Serial);
+        for i in 0..6 {
+            let mut job = spec(&format!("q5-{i}"), "nexmark-q5", i);
+            job.multiplier = 1.0 + i as f64;
+            mgr.submit(job).unwrap();
+        }
+        assert_eq!(mgr.placements_computed(), 1, "one query, one structure");
+        submit_every_named_workload(&mut mgr, &pre, &[1.0, 10.0]);
+        assert_eq!(
+            mgr.placements_computed(),
+            named_structures().len() as u64,
+            "one GED pass per distinct structure"
+        );
+    }
+
+    #[test]
+    fn swap_pretrained_replaces_the_placement_memo() {
+        let mut mgr = JobManager::new(small_pretrained(3), Parallelism::Serial);
+        mgr.submit(spec("queued", "nexmark-q5", 1)).unwrap();
+        submit_every_named_workload(&mut mgr, &small_pretrained(3), &[8.0]);
+        let swapped = {
+            let cluster = SimCluster::flink_defaults(4);
+            let corpus = HistoryGenerator::new(4).with_jobs(20).generate(&cluster);
+            Pretrainer::new(PretrainConfig::fast()).run(&corpus)
+        };
+        mgr.swap_pretrained(swapped.clone());
+        // Re-placing the ledger under the new centers ran one pass per
+        // structure, and later admissions are placed on the new model.
+        let structures = named_structures().len() as u64;
+        assert_eq!(mgr.placements_computed(), structures);
+        let flow = find_workload("nexmark-q5", Engine::Flink).unwrap().at(8.0);
+        assert_eq!(
+            mgr.admissions["queued"].distances,
+            swapped.center_distances(&flow)
+        );
+        submit_every_named_workload(&mut mgr, &swapped, &[2.5]);
+        assert_eq!(mgr.placements_computed(), structures);
     }
 
     #[test]

@@ -134,8 +134,8 @@
 //! disconnecting (cleanly or mid-line) never takes the daemon down. Many named jobs share the one
 //! pre-trained corpus: each is placed once, at admission — its GED to
 //! every cluster center
-//! ([`Pretrained::center_distances`](core::Pretrained::center_distances)),
-//! whose nearest center picks the cluster its tune and its audit record
+//! ([`Pretrained::center_distances`](core::Pretrained::center_distances),
+//! computed once per DAG structure), whose nearest center picks the cluster its tune and its audit record
 //! reuse — and runs against
 //! its *own* backend on the deterministic
 //! [`Parallelism`](ged::Parallelism) worker pool, so any thread count and

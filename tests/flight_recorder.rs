@@ -189,6 +189,11 @@ fn recommend_over_tcp_leaves_a_complete_span_tree_behind_the_trace_verb() {
     let handle_submit = find(&submit_spans, "handle:submit");
     assert_eq!(placements[0].parent, Some(handle_submit.id));
     assert_eq!(placements[0].target, "serve.job");
+    // The daemon's first job of a DAG structure runs the GED pass.
+    assert_eq!(
+        placements[0].fields.get("memo").map(String::as_str),
+        Some("miss")
+    );
     assert!(
         !spans.iter().any(|s| s.name == "assign_cluster"),
         "the tune reuses the admission placement: {spans:?}"

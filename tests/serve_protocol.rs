@@ -203,7 +203,7 @@ fn protocol_errors_keep_the_server_alive() {
     assert_eq!(
         messages,
         [
-            "bad request: unexpected Some('t') at offset 0",
+            "bad request: unexpected 't' at offset 0",
             "bad request: unknown variant `reboot`, expected one of `submit`, `status`, \
              `recommend`, `cancel`, `watch`, `unwatch`, `drift_status`, `health`, `metrics`, \
              `tick`, `snapshot`, `drain`, `trace`, `explain`, `metrics_history`, `shutdown`",

@@ -326,6 +326,7 @@ fn metrics_verb_and_prometheus_exposition_cover_the_core_series() {
         "streamtune_ged_cache_hits_total",
         "streamtune_ged_cache_misses_total",
         "streamtune_warm_fit_total",
+        "streamtune_placement_total",
     ] {
         assert!(text.contains(series), "exposition must carry {series}");
     }
